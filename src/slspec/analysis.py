@@ -41,6 +41,16 @@ class RoundTripReport:
         }
 
 
+def replay_spectrum(rec: ReconstructionResult, kind: BoundaryKind, count: int) -> np.ndarray:
+    """First ``count`` eigenvalues of a reconstructed sigma.
+
+    For third-type kinds the replay uses the recovered h, which absorbs the
+    gauge shift of the reconstruction.
+    """
+    h = rec.h if kind.third_type_at_one else 0.0
+    return eigenvalues(rec.sigma, count, CharParams(kind, h=h))
+
+
 def roundtrip_report(
     sigma: GridFunction, count: int, params: CharParams, M: int
 ) -> RoundTripReport:
@@ -55,11 +65,7 @@ def roundtrip_report(
     data = direct_spectral_data(sigma, count, params)
     rec = reconstruct(data, M)
     l2_error, gauge = gauge_removed_distance(rec.sigma, sigma.resampled(M))
-    if params.kind.third_type_at_one:
-        replay_params = CharParams(params.kind, h=rec.h)
-    else:
-        replay_params = params
-    replay = eigenvalues(rec.sigma, count, replay_params)
+    replay = replay_spectrum(rec, params.kind, count)
     return RoundTripReport(
         sigma_in=sigma,
         sigma_out=rec.sigma,

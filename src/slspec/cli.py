@@ -21,8 +21,13 @@ import sys
 import numpy as np
 
 from ._fileio import atomic_write_text
-from .analysis import riesz_condition, roundtrip_report, stability_probe
-from .direct import CharParams, direct_spectral_data, eigenvalues
+from .analysis import (
+    replay_spectrum,
+    riesz_condition,
+    roundtrip_report,
+    stability_probe,
+)
+from .direct import CharParams, direct_spectral_data
 from .errors import NumericalError, SpectralValidationError, StructuralError
 from .glm import reconstruct, write_kernel_csv
 from .grid import GridFunction, read_sigma_csv, write_sigma_csv
@@ -146,11 +151,7 @@ def cmd_isospectral(args) -> int:
     result = reconstruct(data, args.grid)
     write_sigma_csv(args.output, result.sigma)
     n = min(data.K, args.count)
-    if data.kind.third_type_at_one:
-        replay_params = CharParams(data.kind, h=result.h)
-    else:
-        replay_params = CharParams(data.kind)
-    replay = eigenvalues(result.sigma, n, replay_params)
+    replay = replay_spectrum(result, data.kind, n)
     errors = np.abs(replay - data.lam[:n])
     report = {
         "kind": data.kind.value,

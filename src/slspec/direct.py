@@ -9,11 +9,18 @@ where ``v = u' - sigma*u`` is the quasi-derivative that stays well defined for
 potentials q = sigma' that are only distributions. For the piecewise-linear
 sigma that a :class:`GridFunction` represents, q is exactly piecewise constant
 (the slope of sigma in each cell), so on every grid cell the classical form
-``u'' = (q - lambda^2) u`` has the closed-form cosine/sine propagator. The
-solver applies that propagator cell by cell, which makes the computed boundary
-traces, eigenvalues and eigenfunction norms exact for the stored sigma up to
-roundoff and the root-refinement tolerance; no step-size policy is involved
-and the cost per shot is one pass over the M cells regardless of lambda.
+``u'' = (q - lambda^2) u`` has the closed-form cosine/sine propagator. That
+makes the computed boundary traces, eigenvalues and eigenfunction norms exact
+for the stored sigma up to roundoff and the root-refinement tolerance; no
+step-size policy is involved and the cost does not depend on lambda.
+
+The solver never loops over cells in Python. For a block of lambda values it
+forms all M per-cell 2x2 transfer matrices at once and multiplies neighbours
+pairwise, ceil(log2 M) vectorized levels up to the boundary trace (an
+up-sweep, as in a parallel-prefix product). Norms and trajectories add a
+down-sweep through the stored levels that yields every cell's start state.
+Blocks hold at most BLOCK_ENTRIES cell-lambda entries, so working memory is a
+few MB whatever the grid or the number of lambda values.
 
 Eigenvalues are located by scanning the boundary-condition residual for sign
 changes near the kind's base frequencies and refining each bracket by
@@ -45,6 +52,10 @@ REFINE_RTOL = 1e-10
 # Residual magnitude accepted as "is an eigenvalue" in norming_constants.
 RESIDUAL_RTOL = 1e-6
 
+# Most cell-lambda entries the propagation kernel holds per block; it bounds
+# the kernel's working memory (a few MB) whatever the batch size.
+BLOCK_ENTRIES = 1 << 15
+
 
 @dataclass(frozen=True)
 class CharParams:
@@ -72,18 +83,35 @@ class ShootResult:
     trajectory: Optional[np.ndarray] = None
 
 
-def _cell_coefficients(E: np.ndarray, delta: float):
-    """Propagator entries over one cell for u'' = -E u.
+def _cell_coefficients(E: np.ndarray, delta: float, with_iss: bool = False):
+    """Propagator entries over one cell for u'' = -E u, elementwise over E.
 
     Returns (C, S, Iss) with C = cos(w*delta), S = sin(w*delta)/w for
     w = sqrt(E) (hyperbolic branch for E < 0) and Iss = integral of S(tau)^2
-    over the cell. Near E = 0 both branches lose digits, so a series in
-    E*delta^2 takes over there.
+    over the cell; Iss is None unless ``with_iss``. Near E = 0 both branches
+    lose digits, so a series in E*delta^2 takes over there. A block that lies
+    on one branch entirely (the common case) is computed without masks.
     """
     w2 = E * (delta * delta)
+    if w2.min() > 1e-4:
+        w = np.sqrt(E)
+        C = np.cos(w * delta)
+        S = np.sin(w * delta) / w
+    elif w2.max() < -1e-4:
+        w = np.sqrt(-E)
+        C = np.cosh(w * delta)
+        S = np.sinh(w * delta) / w
+    else:
+        return _mixed_cell_coefficients(E, delta, w2, with_iss)
+    Iss = (delta - S * C) / (2.0 * E) if with_iss else None
+    return C, S, Iss
+
+
+def _mixed_cell_coefficients(E, delta, w2, with_iss):
+    """:func:`_cell_coefficients` for a block that spans several branches."""
     C = np.empty_like(E)
     S = np.empty_like(E)
-    Iss = np.empty_like(E)
+    Iss = np.empty_like(E) if with_iss else None
 
     trig = w2 > 1e-4
     hyp = w2 < -1e-4
@@ -103,18 +131,76 @@ def _cell_coefficients(E: np.ndarray, delta: float):
         t = w2[mid]
         C[mid] = 1.0 + t * (-0.5 + t * (1.0 / 24.0 - t / 720.0))
         S[mid] = delta * (1.0 + t * (-1.0 / 6.0 + t * (1.0 / 120.0 - t / 5040.0)))
-        Iss[mid] = delta**3 * (1.0 / 3.0 + t * (-1.0 / 15.0 + t * (2.0 / 315.0)))
+        if with_iss:
+            Iss[mid] = delta**3 * (1.0 / 3.0 + t * (-1.0 / 15.0 + t * (2.0 / 315.0)))
     big = trig | hyp
-    if np.any(big):
+    if with_iss and np.any(big):
         Iss[big] = (delta - S[big] * C[big]) / (2.0 * E[big])
     return C, S, Iss
 
 
-def _propagate(sigma: GridFunction, lams, kind: BoundaryKind, trajectory=False):
+def _up_sweep(level):
+    """Pairwise products of consecutive transfer matrices, level by level.
+
+    ``level`` holds the entries (a, b, c, d) of the matrices [[a, b], [c, d]]
+    of consecutive segments, each entry of shape (n, L). Each new level
+    multiplies neighbours 2j, 2j+1 (an odd last segment is carried up as is),
+    so after ceil(log2 n) levels one matrix spans all segments. Returns every
+    level, the cells first and the total product last.
+    """
+    levels = [level]
+    while level[0].shape[0] > 1:
+        n = level[0].shape[0]
+        h = n // 2
+        a0, b0, c0, d0 = (x[0:2 * h:2] for x in level)
+        a1, b1, c1, d1 = (x[1:2 * h:2] for x in level)
+        nxt = (a1 * a0 + b1 * c0, a1 * b0 + b1 * d0,
+               c1 * a0 + d1 * c0, c1 * b0 + d1 * d0)
+        if n % 2:
+            nxt = tuple(np.concatenate((y, x[-1:])) for y, x in zip(nxt, level))
+        levels.append(nxt)
+        level = nxt
+    return levels
+
+
+def _down_sweep(levels, u, p):
+    """Start state (u, u') of every cell from the stored up-sweep levels.
+
+    The top segment starts at (u, p); the left child of a segment starts
+    where its parent does and the right child where the left one ends.
+    Returns two arrays of shape (cells, L).
+    """
+    u, p = u[None, :], p[None, :]
+    for a, b, c, d in reversed(levels[:-1]):
+        n = a.shape[0]
+        h = n // 2
+        uu = np.empty((n, u.shape[1]))
+        pp = np.empty_like(uu)
+        uu[0::2] = u
+        pp[0::2] = p
+        uu[1::2] = a[0:2 * h:2] * u[:h] + b[0:2 * h:2] * p[:h]
+        pp[1::2] = c[0:2 * h:2] * u[:h] + d[0:2 * h:2] * p[:h]
+        u, p = uu, pp
+    return u, p
+
+
+def _propagate(sigma: GridFunction, lams, kind: BoundaryKind, norms=False,
+               trajectory=False):
     """Propagate the quasi-derivative system for a batch of lambda values.
 
-    Returns (u1, du1, norm_sq, traj) as arrays over the batch; ``traj`` is
-    None unless requested, in which case it has shape (M+1, 2, L).
+    The classical state (u, u') crosses cell i by the transfer matrix
+    [[C, S], [-E*S, C]] with E = lambda^2 - q_i. For a block of lambda
+    values the kernel forms every cell's matrix at once, and an up-sweep of
+    pairwise products (ceil(log2 M) vectorized levels) yields the boundary
+    trace. Only when norms or the trajectory are asked for does a down-sweep
+    over the stored levels recover each cell's start state, from which the
+    integral of u^2 is one vectorized sum. Lambda is processed in blocks of at
+    most BLOCK_ENTRIES cell-lambda entries, so memory does not grow with the
+    batch.
+
+    Returns (u1, du1, norm_sq, traj) as arrays over the batch; ``norm_sq`` is
+    None unless ``norms`` and ``traj`` is None unless ``trajectory``, in which
+    case it has shape (M+1, 2, L).
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     if np.any(lams < 0.0) or not np.all(np.isfinite(lams)):
@@ -122,35 +208,42 @@ def _propagate(sigma: GridFunction, lams, kind: BoundaryKind, trajectory=False):
     vals = sigma.values
     M = sigma.M
     delta = 1.0 / M
-    lam2 = lams * lams
-    slope = np.diff(vals) * M  # q on each cell
+    slope = (np.diff(vals) * M)[:, None]  # q on each cell
 
     if kind.dirichlet_at_zero:
-        u = np.zeros_like(lams)
-        up = SQRT2 * lams  # classical derivative: v + sigma(0)*u = v
+        u0 = np.zeros_like(lams)
+        p0 = SQRT2 * lams  # classical derivative: v + sigma(0)*u = v
     else:
-        u = np.full_like(lams, SQRT2)
-        up = vals[0] * u  # quasi-derivative zero => u' = sigma(0)*u
+        u0 = np.full_like(lams, SQRT2)
+        p0 = vals[0] * u0  # quasi-derivative zero => u' = sigma(0)*u
 
-    norm_sq = np.zeros_like(lams)
-    traj = None
-    if trajectory:
-        traj = np.empty((M + 1, 2, lams.size))
-        traj[0, 0] = u
-        traj[0, 1] = up - vals[0] * u
+    u1 = np.empty_like(lams)
+    p1 = np.empty_like(lams)
+    norm_sq = np.empty_like(lams) if norms else None
+    traj = np.empty((M + 1, 2, lams.size)) if trajectory else None
 
-    for i in range(M):
-        E = lam2 - slope[i]
-        C, S, Iss = _cell_coefficients(E, delta)
-        Icc = 0.5 * (delta + S * C)
-        norm_sq += u * u * Icc + u * up * (S * S) + up * up * Iss
-        u, up = C * u + S * up, (-E) * S * u + C * up
+    width = max(1, BLOCK_ENTRIES // M)
+    for start in range(0, lams.size, width):
+        blk = slice(start, start + width)
+        E = lams[blk] ** 2 - slope
+        C, S, Iss = _cell_coefficients(E, delta, with_iss=norms)
+        levels = _up_sweep((C, S, -E * S, C))
+        a, b, c, d = (x[0] for x in levels[-1])
+        u1[blk] = a * u0[blk] + b * p0[blk]
+        p1[blk] = c * u0[blk] + d * p0[blk]
+        if norms or trajectory:
+            u, p = _down_sweep(levels, u0[blk], p0[blk])
+        if norms:
+            Icc = 0.5 * (delta + S * C)
+            norm_sq[blk] = np.sum(u * u * Icc + u * p * (S * S) + p * p * Iss, axis=0)
         if trajectory:
-            traj[i + 1, 0] = u
-            traj[i + 1, 1] = up - vals[i + 1] * u
+            traj[:M, 0, blk] = u
+            traj[:M, 1, blk] = p - vals[:-1, None] * u
+            traj[M, 0, blk] = u1[blk]
+            traj[M, 1, blk] = p1[blk] - vals[-1] * u1[blk]
 
-    du = up - vals[-1] * u
-    return u, du, norm_sq, traj
+    du1 = p1 - vals[-1] * u1
+    return u1, du1, norm_sq, traj
 
 
 def shoot(
@@ -165,7 +258,8 @@ def shoot(
     for Dirichlet-at-0 kinds (DD/DN), u(0) = sqrt(2), u^[1](0) = 0 for
     Neumann-at-0 kinds (NT/ND).
     """
-    u1, du1, nsq, traj = _propagate(sigma, [lam], kind, trajectory=with_trajectory)
+    u1, du1, nsq, traj = _propagate(sigma, [lam], kind, norms=True,
+                                    trajectory=with_trajectory)
     return ShootResult(
         u1=float(u1[0]),
         du1=float(du1[0]),
@@ -275,7 +369,7 @@ def norming_constants(
     (the norm itself never depends on h).
     """
     lambdas = np.atleast_1d(np.asarray(lambdas, dtype=float))
-    u1, du1, norm_sq, _ = _propagate(sigma, lambdas, kind)
+    u1, du1, norm_sq, _ = _propagate(sigma, lambdas, kind, norms=True)
     scale = np.maximum(1.0, lambdas)
     if kind.third_type_at_one:
         if h is not None:

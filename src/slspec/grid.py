@@ -58,12 +58,6 @@ class GridFunction:
         return GridFunction(self.at(np.arange(M + 1) / M))
 
 
-def from_callable(fn, M: int) -> GridFunction:
-    """Sample ``fn`` on the M-grid."""
-    x = np.arange(M + 1) / M
-    return GridFunction(np.asarray([fn(t) for t in x], dtype=float))
-
-
 def trapezoid_weights(M: int) -> np.ndarray:
     """Composite-trapezoid quadrature weights on the M-grid of [0, 1]."""
     w = np.full(M + 1, 1.0 / M)

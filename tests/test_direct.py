@@ -17,6 +17,9 @@ from slspec import (
     validate_spectral_data,
 )
 
+from slspec import direct
+from slspec.direct import _cell_coefficients, _mixed_cell_coefficients, _propagate
+
 from conftest import linear_sigma, nodes, step_sigma, zero_sigma
 
 PI = math.pi
@@ -263,3 +266,100 @@ class TestInvariants:
             vals = _characteristic_batch(sig, grid, CharParams(DD))
             changes = int(np.sum(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0))
             assert changes == count
+
+
+def reference_propagate(sigma, lams, kind, norms=False, trajectory=False):
+    """Cell-by-cell propagation: the loop the blocked kernel replaced.
+
+    Same signature and results as ``direct._propagate``, which it is the
+    reference for.
+    """
+    lams = np.atleast_1d(np.asarray(lams, dtype=float))
+    vals = sigma.values
+    M = sigma.M
+    delta = 1.0 / M
+    slope = np.diff(vals) * M
+    if kind.dirichlet_at_zero:
+        u, up = np.zeros_like(lams), SQRT2 * lams
+    else:
+        u = np.full_like(lams, SQRT2)
+        up = vals[0] * u
+    norm_sq = np.zeros_like(lams)
+    traj = np.empty((M + 1, 2, lams.size))
+    traj[0] = u, up - vals[0] * u
+    for i in range(M):
+        E = lams * lams - slope[i]
+        C, S, Iss = _cell_coefficients(E, delta, with_iss=True)
+        norm_sq += u * u * 0.5 * (delta + S * C) + u * up * (S * S) + up * up * Iss
+        u, up = C * u + S * up, -E * S * u + C * up
+        traj[i + 1] = u, up - vals[i + 1] * u
+    return (u, up - vals[-1] * u, norm_sq if norms else None,
+            traj if trajectory else None)
+
+
+def branch_sigma(M):
+    """sigma = 60x on [0, 1/3], then a log-singular part plus a jump.
+
+    Probes at lambda < sqrt(60) put the first third on the hyperbolic
+    branch, lambda^2 equal to a cell slope puts that cell on the series
+    branch, and large lambda puts every cell on the trigonometric one.
+    """
+    x = nodes(M)
+    return GridFunction(np.where(x <= 1 / 3, 60.0 * x,
+                                 20.0 + 0.3 * np.log(np.maximum(x, 0.25))
+                                 + 0.5 * (x > 0.6)))
+
+
+def branch_lams(sigma, n):
+    slope = np.diff(sigma.values) * sigma.M
+    exact = np.sqrt([slope[0], slope[-1]])  # series branch on those cells
+    return np.concatenate([np.linspace(0.5, 40.0, n - 2), exact])
+
+
+class TestPropagateKernel:
+    """The blocked kernel against the cell-by-cell reference, to <= 1e-12
+    relative to the shot's scale (the largest |u|, |u^[1]| on the grid)."""
+
+    @staticmethod
+    def assert_matches(sigma, lams, kind):
+        got = _propagate(sigma, lams, kind, norms=True, trajectory=True)
+        ref = reference_propagate(sigma, lams, kind, norms=True, trajectory=True)
+        scale = np.max(np.abs(ref[3]), axis=(0, 1))
+        for g, r, s in zip(got, ref, (scale, scale, scale**2, scale)):
+            assert np.max(np.abs(g - r) / s) <= 1e-12
+
+    @pytest.mark.parametrize("M", [16, 17, 100, 1024])
+    @pytest.mark.parametrize("kind", [DD, NT])
+    def test_every_branch(self, M, kind):
+        sig = branch_sigma(M)
+        self.assert_matches(sig, branch_lams(sig, 40), kind)
+
+    @pytest.mark.parametrize("lam", [1.0, 20.0])
+    def test_batch_of_one(self, lam):
+        self.assert_matches(branch_sigma(100), [lam], NT)
+
+    def test_batch_beyond_one_block(self):
+        sig = branch_sigma(1024)
+        lams = branch_lams(sig, 2049)
+        assert lams.size * sig.M > direct.BLOCK_ENTRIES
+        self.assert_matches(sig, lams, DD)
+
+    def test_uniform_branch_skips_masks_exactly(self):
+        delta = 1.0 / 64
+        for E in (np.linspace(10.0, 900.0, 77), -np.linspace(10.0, 900.0, 77)):
+            fast = _cell_coefficients(E, delta, with_iss=True)
+            masked = _mixed_cell_coefficients(E, delta, E * delta**2, True)
+            for f, m in zip(fast, masked):
+                assert np.array_equal(f, m)
+
+    @pytest.mark.parametrize("params", [CharParams(DD), CharParams(NT, h=3.0)])
+    def test_spectral_data_matches_reference(self, monkeypatch, params):
+        x = nodes(256)
+        sig = GridFunction(2.0 * x + 0.3 * np.log(x + 1e-3) + 0.5 * (x > 0.6))
+        lam = eigenvalues(sig, 16, params)
+        alpha = norming_constants(sig, lam, params.kind, h=params.h)
+        monkeypatch.setattr(direct, "_propagate", reference_propagate)
+        lam_ref = eigenvalues(sig, 16, params)
+        alpha_ref = norming_constants(sig, lam_ref, params.kind, h=params.h)
+        assert np.max(np.abs(lam - lam_ref) / lam_ref) <= 1e-12
+        assert np.max(np.abs(alpha - alpha_ref) / alpha_ref) <= 1e-12
