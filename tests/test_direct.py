@@ -18,7 +18,7 @@ from slspec import (
 )
 
 from slspec import direct
-from slspec.direct import _cell_coefficients, _mixed_cell_coefficients, _propagate
+from slspec.direct import _propagate
 
 from conftest import linear_sigma, nodes, step_sigma, zero_sigma
 
@@ -268,6 +268,28 @@ class TestInvariants:
             assert changes == count
 
 
+def reference_cell_coefficients(E, delta):
+    """Per-branch propagator entries (C, S, Iss) over one cell, each branch
+    computed on its own entries: the reference for the kernel's
+    ``_cell_coefficients``."""
+    w2 = E * (delta * delta)
+    C, S, Iss = np.empty_like(E), np.empty_like(E), np.empty_like(E)
+    trig = w2 > 1e-4
+    hyp = w2 < -1e-4
+    mid = ~(trig | hyp)
+    w = np.sqrt(E[trig])
+    C[trig], S[trig] = np.cos(w * delta), np.sin(w * delta) / w
+    w = np.sqrt(-E[hyp])
+    C[hyp], S[hyp] = np.cosh(w * delta), np.sinh(w * delta) / w
+    t = w2[mid]
+    C[mid] = 1.0 + t * (-0.5 + t * (1.0 / 24.0 - t / 720.0))
+    S[mid] = delta * (1.0 + t * (-1.0 / 6.0 + t * (1.0 / 120.0 - t / 5040.0)))
+    Iss[mid] = delta**3 * (1.0 / 3.0 + t * (-1.0 / 15.0 + t * (2.0 / 315.0)))
+    big = trig | hyp
+    Iss[big] = (delta - S[big] * C[big]) / (2.0 * E[big])
+    return C, S, Iss
+
+
 def reference_propagate(sigma, lams, kind, norms=False, trajectory=False):
     """Cell-by-cell propagation: the loop the blocked kernel replaced.
 
@@ -289,7 +311,7 @@ def reference_propagate(sigma, lams, kind, norms=False, trajectory=False):
     traj[0] = u, up - vals[0] * u
     for i in range(M):
         E = lams * lams - slope[i]
-        C, S, Iss = _cell_coefficients(E, delta, with_iss=True)
+        C, S, Iss = reference_cell_coefficients(E, delta)
         norm_sq += u * u * 0.5 * (delta + S * C) + u * up * (S * S) + up * up * Iss
         u, up = C * u + S * up, -E * S * u + C * up
         traj[i + 1] = u, up - vals[i + 1] * u
@@ -343,14 +365,6 @@ class TestPropagateKernel:
         lams = branch_lams(sig, 2049)
         assert lams.size * sig.M > direct.BLOCK_ENTRIES
         self.assert_matches(sig, lams, DD)
-
-    def test_uniform_branch_skips_masks_exactly(self):
-        delta = 1.0 / 64
-        for E in (np.linspace(10.0, 900.0, 77), -np.linspace(10.0, 900.0, 77)):
-            fast = _cell_coefficients(E, delta, with_iss=True)
-            masked = _mixed_cell_coefficients(E, delta, E * delta**2, True)
-            for f, m in zip(fast, masked):
-                assert np.array_equal(f, m)
 
     @pytest.mark.parametrize("params", [CharParams(DD), CharParams(NT, h=3.0)])
     def test_spectral_data_matches_reference(self, monkeypatch, params):
