@@ -33,7 +33,6 @@ from .glm import (
     TriangularKernel,
     assemble_phi,
     factorization_residual,
-    kernel_f,
     positivity_margin,
     reconstruct,
     recover_h,
@@ -84,7 +83,6 @@ __all__ = [
     "factorization_residual",
     "gauge_removed_distance",
     "isospectral_member",
-    "kernel_f",
     "norming_constants",
     "positivity_margin",
     "read_data_json",

@@ -10,13 +10,7 @@ from .direct import CharParams, direct_spectral_data, eigenvalues
 from .errors import NumericalError, SpectralValidationError, StructuralError
 from .glm import ReconstructionResult, reconstruct
 from .grid import GridFunction, gauge_removed_distance
-from .spectra import (
-    BoundaryKind,
-    SpectralData,
-    remainders,
-    synthesize_data,
-    validate_spectral_data,
-)
+from .spectra import BoundaryKind, SpectralData, remainders, synthesize_data
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,29 +77,20 @@ def isospectral_member(
 
     A fixed admissible spectrum pins the family; the coordinates
     ``beta_k = alpha_k - 1`` select one member. Callers verify membership by
-    replaying the spectrum of the result with the direct solver.
+    replaying the spectrum of the result with the direct solver. Inadmissible
+    coordinates raise :class:`SpectralValidationError` from :func:`reconstruct`,
+    with the report attached.
     """
-    lambdas = np.asarray(lambdas, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    if lambdas.shape != beta.shape:
-        raise StructuralError("lambdas and beta must have equal length")
-    data = SpectralData(kind, lambdas, 1.0 + beta)
-    report = validate_spectral_data(data)
-    if not report.ok:
-        raise SpectralValidationError(
-            "inadmissible isospectral coordinates: "
-            + "; ".join(str(v) for v in report.violations),
-            report=report,
-        )
+    data = SpectralData(kind, lambdas, 1.0 + np.asarray(beta, dtype=float))
     return reconstruct(data, M)
 
 
 @dataclass(frozen=True)
 class StabilityRow:
-    """One perturbation level: data-space size vs sigma-space response."""
+    """One perturbation level: the l2 norm ``eps`` of the data perturbation
+    and the sigma-space response."""
 
     eps: float
-    data_perturbation_norm: float
     sigma_error: float
 
 
@@ -150,13 +135,7 @@ def stability_probe(
             )
         rec = reconstruct(perturbed, M)
         sigma_error, _ = gauge_removed_distance(rec.sigma, base.sigma)
-        rows.append(
-            StabilityRow(
-                eps=float(eps),
-                data_perturbation_norm=float(eps),
-                sigma_error=sigma_error,
-            )
-        )
+        rows.append(StabilityRow(eps=float(eps), sigma_error=sigma_error))
     return rows
 
 

@@ -7,7 +7,8 @@ failure writes one machine-parsable line to stderr:
 
     error: <validation|numerical|io>: <reason>
 
-Runs are deterministic: fixed seeds, fixed discretizations, atomic output
+Each subcommand accepts only the flags it reads (``_COMMANDS``); any other
+flag is a configuration error. Runs are deterministic: fixed seeds, fixed discretizations, atomic output
 writes, and lossless number formatting.
 """
 
@@ -101,8 +102,7 @@ def cmd_validate(args) -> int:
     else:
         sys.stdout.write(text)
     if not report.ok:
-        reasons = "; ".join(str(v) for v in report.violations)
-        print(f"error: validation: {reasons}", file=sys.stderr)
+        print(f"error: validation: {report.reason}", file=sys.stderr)
         return 1
     return 0
 
@@ -177,7 +177,8 @@ def cmd_stability(args) -> int:
     rows = stability_probe(_load_data(args), eps_list, args.grid, args.seed)
     lines = ["eps,data_norm,sigma_error"]
     for row in rows:
-        lines.append(f"{row.eps!r},{row.data_perturbation_norm!r},{row.sigma_error!r}")
+        # data_norm is the perturbation's l2 norm, which is eps by construction.
+        lines.append(f"{row.eps!r},{row.eps!r},{row.sigma_error!r}")
     text = "\n".join(lines) + "\n"
     if args.output:
         atomic_write_text(args.output, text)
@@ -194,53 +195,66 @@ def cmd_riesz(args) -> int:
     return 0
 
 
+_FLAGS = {
+    "--grid": dict(type=int, default=DEFAULT_M, metavar="M",
+                   help=f"reconstruction grid size (default {DEFAULT_M})"),
+    "--count": dict(type=int, default=DEFAULT_COUNT, metavar="K",
+                    help=f"number of modes (default {DEFAULT_COUNT})"),
+    "--kind": dict(choices=[k.value for k in BoundaryKind], default="DD",
+                   help="boundary kind (default DD)"),
+    "--h": dict(type=float, default=0.0,
+                help="third-type boundary parameter (NT/DN)"),
+    "--shift": dict(type=float, default=0.0, metavar="C",
+                    help="shift sigma by C*x (CSV inputs) or the data "
+                         "spectrum by C (JSON inputs)"),
+    "--seed": dict(type=int, default=DEFAULT_SEED,
+                   help=f"rng seed (default {DEFAULT_SEED})"),
+    "--eps": dict(default=DEFAULT_EPS,
+                  help=f"perturbation sizes, comma list (default {DEFAULT_EPS})"),
+    "--dump-kernel": dict(metavar="PATH",
+                          help="also dump the triangular kernel as i,j,k CSV"),
+}
+
+# name: (handler, help, --output, the flags the handler reads). --output is
+# required (True), optional with stdout as default (False) or absent (None).
+# Any flag not listed is rejected like an unknown one (exit status 3).
+_COMMANDS = {
+    "validate": (cmd_validate, "check spectral-data JSON, emit a validation report",
+                 False, ()),
+    "direct": (cmd_direct, "spectral data JSON from a sigma CSV",
+               True, ("--count", "--kind", "--h", "--shift")),
+    "inverse": (cmd_inverse, "reconstruct sigma CSV (+ diagnostics JSON) from data JSON",
+                True, ("--grid", "--shift", "--dump-kernel")),
+    "roundtrip": (cmd_roundtrip, "direct + inverse on a sigma CSV, emit a comparison report",
+                  True, ("--grid", "--count", "--kind", "--h", "--shift")),
+    "isospectral": (cmd_isospectral,
+                    "reconstruct one isospectral member and replay its spectrum",
+                    True, ("--grid", "--count", "--shift")),
+    "stability": (cmd_stability, "perturbation response table for a dataset",
+                  False, ("--grid", "--shift", "--seed", "--eps")),
+    "riesz": (cmd_riesz, "Gram-matrix condition number of the data's frequency "
+                         "system, on stdout",
+              None, ("--shift",)),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="slspec", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, help_text, *, output_required=True):
-        p = sub.add_parser(name, help=help_text)
+    for name, (func, help_text, output, flags) in _COMMANDS.items():
+        # No abbreviations: a prefix such as --h would otherwise select
+        # --help on subcommands that do not read --h.
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p.set_defaults(func=func)
         p.add_argument("--input", required=True, help="input file path")
-        p.add_argument(
-            "--output",
-            required=output_required,
-            help="output file path" + ("" if output_required else " (default stdout)"),
-        )
-        p.add_argument("--grid", type=int, default=DEFAULT_M, metavar="M",
-                       help=f"reconstruction grid size (default {DEFAULT_M})")
-        p.add_argument("--count", type=int, default=DEFAULT_COUNT, metavar="K",
-                       help=f"number of modes (default {DEFAULT_COUNT})")
-        p.add_argument("--kind", choices=[k.value for k in BoundaryKind],
-                       default="DD", help="boundary kind (default DD)")
-        p.add_argument("--h", type=float, default=0.0,
-                       help="third-type boundary parameter (NT/DN)")
-        p.add_argument("--shift", type=float, default=0.0, metavar="C",
-                       help="shift sigma by C*x (CSV inputs) or the data "
-                            "spectrum by C (JSON inputs)")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                       help=f"rng seed (default {DEFAULT_SEED})")
-        p.add_argument("--eps", default=DEFAULT_EPS,
-                       help=f"perturbation sizes, comma list (default {DEFAULT_EPS})")
-        return p
-
-    add("validate", cmd_validate,
-        "check spectral-data JSON, emit a validation report",
-        output_required=False)
-    add("direct", cmd_direct, "spectral data JSON from a sigma CSV")
-    p_inv = add("inverse", cmd_inverse,
-                "reconstruct sigma CSV (+ diagnostics JSON) from data JSON")
-    p_inv.add_argument("--dump-kernel", metavar="PATH",
-                       help="also dump the triangular kernel as i,j,k CSV")
-    add("roundtrip", cmd_roundtrip,
-        "direct + inverse on a sigma CSV, emit a comparison report")
-    add("isospectral", cmd_isospectral,
-        "reconstruct one isospectral member and replay its spectrum")
-    add("stability", cmd_stability,
-        "perturbation response table for a dataset", output_required=False)
-    add("riesz", cmd_riesz,
-        "Gram-matrix condition number of the data's frequency system",
-        output_required=False)
+        if output is not None:
+            p.add_argument(
+                "--output",
+                required=output,
+                help="output file path" + ("" if output else " (default stdout)"),
+            )
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 

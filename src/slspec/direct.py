@@ -386,8 +386,7 @@ def direct_spectral_data(
     report = validate_spectral_data(data)
     if not report.ok:
         raise NumericalError(
-            "direct solver produced inadmissible data: "
-            + "; ".join(str(v) for v in report.violations),
+            f"direct solver produced inadmissible data: {report.reason}",
             stage="direct",
         )
     return data

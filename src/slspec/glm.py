@@ -64,8 +64,7 @@ def assemble_phi(data: SpectralData, M: int) -> PhiTable:
     report = validate_spectral_data(data)
     if not report.ok:
         raise SpectralValidationError(
-            "cannot assemble phi from inadmissible data: "
-            + "; ".join(str(v) for v in report.violations),
+            f"cannot assemble phi from inadmissible data: {report.reason}",
             report=report,
         )
     if M < MIN_M:
@@ -114,11 +113,6 @@ class KernelF:
         out = plus - minus if self.kind.dirichlet_at_zero else plus + minus
         out.flags.writeable = False
         return out
-
-
-def kernel_f(phi: PhiTable, kind: BoundaryKind) -> KernelF:
-    """Wrap a phi table as the grid kernel of the operator F."""
-    return KernelF(phi, kind)
 
 
 def positivity_margin(f: KernelF, M: int) -> float:
@@ -326,7 +320,7 @@ def reconstruct(data: SpectralData, M: int) -> ReconstructionResult:
     :class:`NumericalError` carrying the stage name.
     """
     phi = assemble_phi(data, M)
-    f = kernel_f(phi, data.kind)
+    f = KernelF(phi, data.kind)
     margin = positivity_margin(f, M)
     kernel = solve_glm(f, M, margin=margin)
     sigma = recover_sigma(kernel, f, phi)

@@ -52,10 +52,6 @@ class BoundaryKind(enum.Enum):
         """True when the condition at 1 carries the parameter h."""
         return self in (BoundaryKind.NT, BoundaryKind.DN)
 
-    def base(self, k: int) -> float:
-        """Base frequency for mode index k (1-based)."""
-        return float(self.base_array(k)[-1])
-
     def base_array(self, count: int) -> np.ndarray:
         """Base frequencies for k = 1..count."""
         k = np.arange(1, count + 1, dtype=float)
@@ -85,6 +81,11 @@ class ValidationReport:
     violations: tuple
     ell2_mu: float
     ell2_beta: float
+
+    @property
+    def reason(self) -> str:
+        """The violations on one line, e.g. ``A1:non-monotone-lambda at index 2``."""
+        return "; ".join(str(v) for v in self.violations)
 
     def to_dict(self) -> dict:
         return {
@@ -187,8 +188,7 @@ def synthesize_data(
     report = validate_spectral_data(data)
     if not report.ok:
         raise SpectralValidationError(
-            "synthesized data is inadmissible: "
-            + "; ".join(str(v) for v in report.violations),
+            f"synthesized data is inadmissible: {report.reason}",
             report=report,
         )
     return data

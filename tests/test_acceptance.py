@@ -14,12 +14,12 @@ import pytest
 from slspec import (
     BoundaryKind,
     CharParams,
+    KernelF,
     assemble_phi,
     direct_spectral_data,
     eigenvalues,
     factorization_residual,
     gauge_removed_distance,
-    kernel_f,
     positivity_margin,
     read_sigma_csv,
     reconstruct,
@@ -140,7 +140,7 @@ def test_06_factorization_residual():
     worst = 0.0
     for data in (base_data(K=64), const_potential_data(64), const_potential_data(128)):
         phi = assemble_phi(data, M)
-        f = kernel_f(phi, data.kind)
+        f = KernelF(phi, data.kind)
         kernel = solve_glm(f, M)
         worst = max(worst, factorization_residual(kernel, f))
     ok = worst <= 5e-3

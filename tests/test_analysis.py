@@ -99,15 +99,17 @@ class TestIsospectral:
     def test_inadmissible_coordinates(self):
         from slspec import SpectralValidationError
 
-        with pytest.raises(SpectralValidationError):
+        with pytest.raises(SpectralValidationError) as exc:
             isospectral_member([PI, 2 * PI], [-1.5, 0.0], DD, M)
+        codes = [v.code for v in exc.value.report.violations]
+        assert codes == ["A2:nonpositive-alpha"]
 
 
 class TestStability:
     def test_zero_eps_zero_error(self):
         rows = stability_probe(base_data(K=16), [0.0], M, seed=3)
         assert rows[0].sigma_error == 0.0
-        assert rows[0].data_perturbation_norm == 0.0
+        assert rows[0].eps == 0.0
 
     def test_local_linearity_ratio(self):
         rows = stability_probe(base_data(), [1e-3, 1e-2], M, seed=0)

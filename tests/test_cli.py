@@ -17,6 +17,33 @@ from conftest import (
 
 PI = math.pi
 
+# The flags each subcommand reads besides --input/--output; every other flag
+# must be refused with exit status 3.
+READS = {
+    "validate": (),
+    "direct": ("--count", "--kind", "--h", "--shift"),
+    "inverse": ("--grid", "--shift", "--dump-kernel"),
+    "roundtrip": ("--grid", "--count", "--kind", "--h", "--shift"),
+    "isospectral": ("--grid", "--count", "--shift"),
+    "stability": ("--grid", "--shift", "--seed", "--eps"),
+    "riesz": ("--shift",),
+}
+# Values that make every own-flag run below admissible: sigma = x shifted by
+# 0.5*x is the NT oracle with h = 1.5.
+FLAG_VALUES = {
+    "--grid": "32", "--count": "4", "--kind": "NT", "--h": "1.5",
+    "--shift": "0.5", "--seed": "1", "--eps": "0.01", "--dump-kernel": "kernel.csv",
+}
+UNREAD = [
+    pytest.param(cmd, flag, id=f"{cmd}:{flag[2:]}")
+    for cmd, own in READS.items()
+    for flag in FLAG_VALUES
+    if flag not in own
+] + [
+    pytest.param("riesz", "--output", id="riesz:output"),  # riesz prints to stdout
+    pytest.param("riesz", "--nope", id="riesz:nope"),
+]
+
 
 def write_inputs(tmp_path, *, sigma=None, data=None):
     paths = {}
@@ -27,6 +54,22 @@ def write_inputs(tmp_path, *, sigma=None, data=None):
         paths["data"] = tmp_path / "data.json"
         write_data_json(paths["data"], data)
     return paths
+
+
+def run_with_flags(tmp_path, command, flags):
+    """Run ``command`` on small valid inputs (``sigma.csv``, ``data.json``)
+    with ``flags`` set to FLAG_VALUES; output paths go into ``tmp_path``."""
+    p = write_inputs(tmp_path, sigma=linear_sigma(1.0), data=base_data(K=8))
+    source = p["sigma"] if command in ("direct", "roundtrip") else p["data"]
+    argv = [command, "--input", str(source)]
+    if command != "riesz":
+        argv += ["--output", str(tmp_path / "out")]
+    for flag in flags:
+        value = FLAG_VALUES.get(flag, "1")
+        if flag in ("--dump-kernel", "--output"):
+            value = str(tmp_path / value)
+        argv += [flag, value]
+    return main(argv)
 
 
 class TestValidateCommand:
@@ -173,6 +216,9 @@ class TestOtherCommands:
         lines = out.read_text().splitlines()
         assert lines[0] == "eps,data_norm,sigma_error"
         assert len(lines) == 3
+        for line in lines[1:]:
+            eps, data_norm, _ = line.split(",")
+            assert data_norm == eps
 
     def test_riesz_stdout(self, tmp_path, capsys):
         p = write_inputs(tmp_path, data=base_data(K=16))
@@ -180,9 +226,17 @@ class TestOtherCommands:
         value = float(capsys.readouterr().out.strip())
         assert value == pytest.approx(1.0, abs=1e-10)
 
-    def test_unknown_flag_exits_3(self, tmp_path, capsys):
-        assert main(["riesz", "--nope"]) == 3
-        assert capsys.readouterr().err.startswith("error: io:")
+    @pytest.mark.parametrize("command, flag", UNREAD)
+    def test_unknown_flag_exits_3(self, tmp_path, capsys, command, flag):
+        assert run_with_flags(tmp_path, command, [flag]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: io:") and err.count("\n") == 1
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["data.json", "sigma.csv"]
+
+    @pytest.mark.parametrize("command", READS)
+    def test_own_flags_accepted(self, tmp_path, capsys, command):
+        assert run_with_flags(tmp_path, command, READS[command]) == 0
+        assert (tmp_path / "out").exists() == (command != "riesz")
 
 
 class TestDeterminismAndRereadability:

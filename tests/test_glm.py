@@ -9,6 +9,7 @@ from slspec import (
     BoundaryKind,
     CharParams,
     GridFunction,
+    KernelF,
     NumericalError,
     SpectralData,
     SpectralValidationError,
@@ -17,7 +18,6 @@ from slspec import (
     direct_spectral_data,
     factorization_residual,
     gauge_removed_distance,
-    kernel_f,
     positivity_margin,
     reconstruct,
     recover_h,
@@ -92,12 +92,12 @@ class TestAssemblePhi:
 
 class TestKernelF:
     def test_zero_phi(self):
-        f = kernel_f(zero_phi(), DD)
+        f = KernelF(zero_phi(), DD)
         assert np.all(f.matrix == 0.0)
 
     def test_rank_one_sine(self):
         s = np.arange(2 * M + 1) / M
-        f = kernel_f(PhiTable(0.2 * np.cos(PI * s)), DD)
+        f = KernelF(PhiTable(0.2 * np.cos(PI * s)), DD)
         x = nodes(M)
         truth = -0.4 * np.outer(np.sin(PI * x), np.sin(PI * x))
         assert np.max(np.abs(f.matrix - truth)) <= 1e-12
@@ -105,7 +105,7 @@ class TestKernelF:
     def test_rank_one_cosine(self):
         gamma = 0.3
         s = np.arange(2 * M + 1) / M
-        f = kernel_f(PhiTable(gamma * np.cos(PI * s)), NT)
+        f = KernelF(PhiTable(gamma * np.cos(PI * s)), NT)
         x = nodes(M)
         truth = 2 * gamma * np.outer(np.cos(PI * x), np.cos(PI * x))
         assert np.max(np.abs(f.matrix - truth)) <= 1e-12
@@ -113,8 +113,8 @@ class TestKernelF:
     def test_diagonal_rule(self):
         s = np.arange(2 * M + 1) / M
         table = np.cos(1.7 * s) + 0.1 * s
-        fd = kernel_f(PhiTable(table), DD).matrix
-        fn = kernel_f(PhiTable(table), NT).matrix
+        fd = KernelF(PhiTable(table), DD).matrix
+        fn = KernelF(PhiTable(table), NT).matrix
         i = np.arange(M + 1)
         assert np.array_equal(np.diag(fd), table[2 * i] - table[0])
         assert np.array_equal(np.diag(fn), table[2 * i] + table[0])
@@ -124,40 +124,40 @@ class TestKernelF:
     @settings(max_examples=25, deadline=None)
     def test_symmetry_exact(self, seed, kind):
         rng = np.random.default_rng(seed)
-        f = kernel_f(PhiTable(rng.standard_normal(2 * 16 + 1)), kind).matrix
+        f = KernelF(PhiTable(rng.standard_normal(2 * 16 + 1)), kind).matrix
         assert np.array_equal(f, f.T)
 
 
 class TestPositivityMargin:
     def test_zero_kernel(self):
-        assert positivity_margin(kernel_f(zero_phi(), DD), M) == pytest.approx(
+        assert positivity_margin(KernelF(zero_phi(), DD), M) == pytest.approx(
             1.0, abs=1e-12
         )
 
     def test_rank_one_eigenvalue(self):
-        f = kernel_f(assemble_phi(rank_one_data(), M), DD)
+        f = KernelF(assemble_phi(rank_one_data(), M), DD)
         assert positivity_margin(f, M) == pytest.approx(0.8, abs=5e-3)
 
     def test_engineered_data_crosses_zero(self):
         data = margin_crossing_data()
-        f = kernel_f(assemble_phi(data, 16), DD)
+        f = KernelF(assemble_phi(data, 16), DD)
         assert positivity_margin(f, 16) <= 0.0
 
     def test_grid_mismatch(self):
         with pytest.raises(StructuralError):
-            positivity_margin(kernel_f(zero_phi(), DD), 128)
+            positivity_margin(KernelF(zero_phi(), DD), 128)
 
 
 class TestSolveGlm:
     def test_zero_kernel(self):
-        ker = solve_glm(kernel_f(zero_phi(), DD), M)
+        ker = solve_glm(KernelF(zero_phi(), DD), M)
         assert np.all(ker.values == 0.0)
 
     def test_rank_one_closed_form(self):
         # substituting k(x,y) = c(x) sin(pi y) into the integral equation
         # gives c(x) = 2 g sin(pi x) / (1 - 2 g I(x)), I(x) = x/2 - sin(2pi x)/(4pi)
         gamma = 0.2
-        f = kernel_f(assemble_phi(rank_one_data(), M), DD)
+        f = KernelF(assemble_phi(rank_one_data(), M), DD)
         ker = solve_glm(f, M)
         assert ker.values[M // 2, M // 2] == pytest.approx(0.4 / 0.9, abs=1e-3)
         x = nodes(M)
@@ -167,7 +167,7 @@ class TestSolveGlm:
         assert np.max(np.abs(ker.values - truth)) <= 1e-3
 
     def test_refuses_nonpositive_margin(self):
-        f = kernel_f(assemble_phi(margin_crossing_data(), 16), DD)
+        f = KernelF(assemble_phi(margin_crossing_data(), 16), DD)
         with pytest.raises(NumericalError) as exc:
             solve_glm(f, 16)
         assert exc.value.stage == "positivity"
@@ -186,7 +186,7 @@ class TestSolveGlm:
         assert np.max(row_max[-2:]) <= 2e-4
 
     def test_row_shapes(self):
-        ker = solve_glm(kernel_f(assemble_phi(rank_one_data(), 32), DD), 32)
+        ker = solve_glm(KernelF(assemble_phi(rank_one_data(), 32), DD), 32)
         for i in (0, 1, 17, 32):
             assert ker.row(i).shape == (i + 1,)
         assert np.all(np.triu(ker.values, k=1) == 0.0)
@@ -195,7 +195,7 @@ class TestSolveGlm:
 class TestRecoverSigma:
     def test_zero_inputs(self):
         sig = recover_sigma(
-            TriangularKernel(np.zeros((M + 1, M + 1))), kernel_f(zero_phi(), DD),
+            TriangularKernel(np.zeros((M + 1, M + 1))), KernelF(zero_phi(), DD),
             zero_phi(),
         )
         assert np.all(sig.values == 0.0)
@@ -203,7 +203,7 @@ class TestRecoverSigma:
     def test_rank_one_closed_form(self):
         gamma = 0.2
         phi = assemble_phi(rank_one_data(), M)
-        f = kernel_f(phi, DD)
+        f = KernelF(phi, DD)
         ker = solve_glm(f, M)
         sig = recover_sigma(ker, f, phi)
         x = nodes(M)
@@ -216,7 +216,7 @@ class TestRecoverSigma:
         phi = assemble_phi(rank_one_data(), M)
         with pytest.raises(StructuralError):
             recover_sigma(
-                TriangularKernel(np.zeros((129, 129))), kernel_f(phi, DD), phi
+                TriangularKernel(np.zeros((129, 129))), KernelF(phi, DD), phi
             )
 
 
@@ -306,7 +306,7 @@ class TestOperatorIdentities:
     def test_factorization_residual_small(self):
         for data in (base_data(), const_potential_data(64), const_potential_data(128)):
             phi = assemble_phi(data, M)
-            f = kernel_f(phi, DD)
+            f = KernelF(phi, DD)
             ker = solve_glm(f, M)
             assert factorization_residual(ker, f) <= 5e-3
 
@@ -314,7 +314,7 @@ class TestOperatorIdentities:
         # perturbing the solved kernel in one row strictly increases the
         # equation residual
         phi = assemble_phi(rank_one_data(), M)
-        f = kernel_f(phi, DD)
+        f = KernelF(phi, DD)
         ker = solve_glm(f, M)
         r_solved = np.max(glm_residual(ker, f))
         bumped = np.array(ker.values)
@@ -324,7 +324,7 @@ class TestOperatorIdentities:
 
     def test_hs_norm_is_weighted_entry_norm(self):
         phi = assemble_phi(rank_one_data(), 64)
-        f = kernel_f(phi, DD)
+        f = KernelF(phi, DD)
         ker = solve_glm(f, 64)
         from slspec.glm import _row_weights
         from slspec.grid import trapezoid_weights
