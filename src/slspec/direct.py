@@ -247,11 +247,24 @@ def shoot(
     )
 
 
+def _boundary_residual(u1, du1, params: CharParams):
+    """The condition at x = 1: u(1), or u^[1](1) + h*u(1) for third-type kinds."""
+    return du1 + params.h * u1 if params.kind.third_type_at_one else u1
+
+
 def _characteristic_batch(sigma: GridFunction, lams, params: CharParams) -> np.ndarray:
     u1, du1, _, _ = _propagate(sigma, lams, params.kind)
-    if params.kind.third_type_at_one:
-        return du1 + params.h * u1
-    return u1
+    return _boundary_residual(u1, du1, params)
+
+
+def _narrow(a, fa, b, fb, x, fx):
+    """Shrink each bracket [a, b] to the side of x that keeps the sign change;
+    an exact zero fx collapses the bracket onto x."""
+    hit = fx == 0.0
+    same = np.sign(fx) == np.sign(fa)
+    a, fa = np.where(same | hit, x, a), np.where(same | hit, fx, fa)
+    b, fb = np.where(same & ~hit, b, x), np.where(same & ~hit, fb, fx)
+    return a, fa, b, fb
 
 
 def characteristic(sigma: GridFunction, lam: float, params: CharParams) -> float:
@@ -307,10 +320,7 @@ def eigenvalues(sigma: GridFunction, count: int, params: CharParams) -> np.ndarr
         if np.all(b - a <= tol):
             break
         fm = _characteristic_batch(sigma, mid, params)
-        hit = fm == 0.0
-        same = np.sign(fm) == np.sign(fa)
-        a, fa = np.where(same | hit, mid, a), np.where(same | hit, fm, fa)
-        b, fb = np.where(same & ~hit, b, mid), np.where(same & ~hit, fb, fm)
+        a, fa, b, fb = _narrow(a, fa, b, fb, mid, fm)
 
     # Two safeguarded secant steps sharpen the bisection midpoint down to the
     # precision of the residual evaluation itself; they keep the root
@@ -322,10 +332,7 @@ def eigenvalues(sigma: GridFunction, count: int, params: CharParams) -> np.ndarr
             cand = np.where(denom != 0.0, (a * fb - b * fa) / denom, roots)
         cand = np.clip(cand, a, b)
         fc = _characteristic_batch(sigma, cand, params)
-        hit = fc == 0.0
-        same = np.sign(fc) == np.sign(fa)
-        a, fa = np.where(same | hit, cand, a), np.where(same | hit, fc, fa)
-        b, fb = np.where(same & ~hit, b, cand), np.where(same & ~hit, fb, fc)
+        a, fa, b, fb = _narrow(a, fa, b, fb, cand, fc)
         roots = cand
 
     if np.any(np.diff(roots) <= 0.0):
@@ -334,40 +341,26 @@ def eigenvalues(sigma: GridFunction, count: int, params: CharParams) -> np.ndarr
     return roots
 
 
-def norming_constants(
-    sigma: GridFunction,
-    lambdas,
-    kind: BoundaryKind,
-    h: Optional[float] = None,
-) -> np.ndarray:
+def norming_constants(sigma: GridFunction, lambdas, params: CharParams) -> np.ndarray:
     """Squared L2 norms of the kind-normalized eigenfunctions at ``lambdas``.
 
-    Each lambda must be an eigenvalue: the boundary residual is required to be
-    below a tolerance scaled to the refinement precision. For NT/DN the
-    residual involves h; pass it when known, otherwise the check is skipped
-    (the norm itself never depends on h).
+    Each lambda must be an eigenvalue of ``params``: a boundary residual above
+    a tolerance scaled to the refinement precision raises
+    :class:`NumericalError`. The norm itself never depends on h.
     """
     lambdas = np.atleast_1d(np.asarray(lambdas, dtype=float))
-    u1, du1, norm_sq, _ = _propagate(sigma, lambdas, kind, norms=True)
+    u1, du1, norm_sq, _ = _propagate(sigma, lambdas, params.kind, norms=True)
+    resid = np.abs(_boundary_residual(u1, du1, params))
     scale = np.maximum(1.0, lambdas)
-    if kind.third_type_at_one:
-        if h is not None:
-            resid = np.abs(du1 + h * u1)
-            tol = RESIDUAL_RTOL * scale * scale
-        else:
-            resid = tol = None
-    else:
-        resid = np.abs(u1)
-        tol = RESIDUAL_RTOL * scale
-    if resid is not None:
-        bad = np.nonzero(resid > tol)[0]
-        if bad.size:
-            i = int(bad[0])
-            raise NumericalError(
-                f"lambda[{i}] = {lambdas[i]:.12g} is not an eigenvalue "
-                f"(boundary residual {resid[i]:.3e} exceeds {tol[i]:.3e})",
-                stage="norming",
-            )
+    tol = RESIDUAL_RTOL * scale * (scale if params.kind.third_type_at_one else 1.0)
+    bad = np.nonzero(resid > tol)[0]
+    if bad.size:
+        i = int(bad[0])
+        raise NumericalError(
+            f"lambda[{i}] = {lambdas[i]:.12g} is not an eigenvalue "
+            f"(boundary residual {resid[i]:.3e} exceeds {tol[i]:.3e})",
+            stage="norming",
+        )
     return norm_sq
 
 
@@ -380,8 +373,8 @@ def direct_spectral_data(
     result carries h for third-type kinds and always passes validation.
     """
     lams = eigenvalues(sigma, count, params)
+    alphas = norming_constants(sigma, lams, params)
     h = params.h if params.kind.third_type_at_one else None
-    alphas = norming_constants(sigma, lams, params.kind, h=h)
     data = SpectralData(params.kind, lams, alphas, h=h)
     report = validate_spectral_data(data)
     if not report.ok:

@@ -115,20 +115,21 @@ class KernelF:
         return out
 
 
-def positivity_margin(f: KernelF, M: int) -> float:
-    """Smallest eigenvalue of the symmetrized discretization of I + F.
-
-    The symmetrization is I + W^{1/2} F W^{1/2} with W the trapezoid weights,
-    which shares the spectrum of the quadrature operator I + F W. Returned
-    even when nonpositive; a positive value is the solvability certificate
-    for :func:`solve_glm`.
-    """
-    if M != f.M:
-        raise StructuralError(f"grid mismatch: kernel has M={f.M}, asked M={M}")
-    sw = np.sqrt(trapezoid_weights(M))
+def _symmetrized(f: KernelF) -> np.ndarray:
+    """I + W^{1/2} F W^{1/2} (W the trapezoid weights), similar to I + F W."""
+    sw = np.sqrt(trapezoid_weights(f.M))
     sym = f.matrix * np.outer(sw, sw)
     sym[np.diag_indices_from(sym)] += 1.0
-    return float(np.linalg.eigvalsh(sym)[0])
+    return sym
+
+
+def positivity_margin(f: KernelF) -> float:
+    """Smallest eigenvalue of the symmetrized discretization of I + F.
+
+    Returned even when nonpositive; a positive value is the solvability
+    certificate for :func:`solve_glm`.
+    """
+    return float(np.linalg.eigvalsh(_symmetrized(f))[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,16 +173,18 @@ def _row_weights(M: int) -> np.ndarray:
     return w
 
 
-def solve_glm(f: KernelF, M: int, margin: Optional[float] = None) -> TriangularKernel:
+def solve_glm(f: KernelF, *, margin: Optional[float] = None) -> TriangularKernel:
     """Solve the discretized integral equation for the triangular kernel.
 
     Row i solves ``(I + F^T_w) k_i = -f(x_i, .)`` where F^T_w is the kernel
     section on [0, x_i] with trapezoid column weights. Uniform positivity of
-    I + F guarantees every row system is solvable, so the margin is checked
-    first and a nonpositive value raises :class:`NumericalError`.
+    I + F guarantees every row system is solvable, so ``margin`` (computed
+    when not given) is checked first; a nonpositive value raises
+    :class:`NumericalError`.
     """
+    M = f.M
     if margin is None:
-        margin = positivity_margin(f, M)
+        margin = positivity_margin(f)
     if margin <= 0.0:
         raise NumericalError(
             f"I + F is not uniformly positive (margin {margin:.6g} <= 0); "
@@ -240,15 +243,13 @@ def factorization_residual(kernel: TriangularKernel, f: KernelF) -> float:
     khat = kernel.values * np.outer(sw, sw)
     khat[np.diag_indices(M + 1)] *= 0.5
     khat[np.diag_indices(M + 1)] += 1.0
-    uhat = f.matrix * np.outer(sw, sw)
-    uhat[np.diag_indices(M + 1)] += 1.0
-    resid = khat @ uhat @ khat.T
+    resid = khat @ _symmetrized(f) @ khat.T
     resid[np.diag_indices(M + 1)] -= 1.0
     return float(np.max(np.abs(resid)))
 
 
-def recover_sigma(kernel: TriangularKernel, f: KernelF, phi: PhiTable) -> GridFunction:
-    """Primitive of the potential from the solved kernel:
+def recover_sigma(kernel: TriangularKernel, f: KernelF) -> GridFunction:
+    """Primitive of the potential from the solved kernel and its ``f``:
 
         sigma(x) = -2 phi(2x) - 2 int_0^x k(x, s) f(s, x) ds.
 
@@ -257,12 +258,10 @@ def recover_sigma(kernel: TriangularKernel, f: KernelF, phi: PhiTable) -> GridFu
     mean offset first.
     """
     M = kernel.M
-    if f.M != M or phi.M != M:
-        raise StructuralError(
-            f"grid mismatch: kernel M={M}, f M={f.M}, phi M={phi.M}"
-        )
+    if f.M != M:
+        raise StructuralError(f"grid mismatch: kernel M={M}, f M={f.M}")
     correction = np.sum(_row_weights(M) * kernel.values * f.matrix, axis=1)
-    return GridFunction(-2.0 * phi.values[::2] - 2.0 * correction)
+    return GridFunction(-2.0 * f.phi.values[::2] - 2.0 * correction)
 
 
 def recover_h(sigma: GridFunction, lambda1: float, kind: BoundaryKind) -> float:
@@ -321,9 +320,9 @@ def reconstruct(data: SpectralData, M: int) -> ReconstructionResult:
     """
     phi = assemble_phi(data, M)
     f = KernelF(phi, data.kind)
-    margin = positivity_margin(f, M)
-    kernel = solve_glm(f, M, margin=margin)
-    sigma = recover_sigma(kernel, f, phi)
+    margin = positivity_margin(f)
+    kernel = solve_glm(f, margin=margin)
+    sigma = recover_sigma(kernel, f)
     h = None
     if data.kind.third_type_at_one:
         h = recover_h(sigma, float(data.lam[0]), data.kind)

@@ -106,9 +106,12 @@ def write_sigma_csv(path, sigma: GridFunction) -> None:
 
 
 def read_sigma_csv(path) -> GridFunction:
-    """Read a ``x,sigma`` CSV produced by :func:`write_sigma_csv`."""
-    with open(path, "r", encoding="ascii") as f:
-        lines = [ln.strip() for ln in f if ln.strip()]
+    """Read a ``x,sigma`` CSV; malformed or non-ASCII files are structural errors."""
+    try:
+        with open(path, "r", encoding="ascii") as f:
+            lines = [ln.strip() for ln in f if ln.strip()]
+    except UnicodeDecodeError as exc:
+        raise StructuralError(f"{path}: not ASCII text ({exc})") from exc
     if not lines or lines[0].replace(" ", "") != _CSV_HEADER:
         raise StructuralError(f"{path}: expected header '{_CSV_HEADER}'")
     try:
@@ -122,6 +125,6 @@ def read_sigma_csv(path) -> GridFunction:
     M = xs.size - 1
     if M < MIN_M:
         raise StructuralError(f"{path}: need at least {MIN_M + 1} rows")
-    if np.max(np.abs(xs - np.arange(M + 1) / M)) > 1e-12:
+    if not np.all(np.abs(xs - np.arange(M + 1) / M) <= 1e-12):  # NaN fails too
         raise StructuralError(f"{path}: x column must be the uniform grid i/{M}")
     return GridFunction(vals)

@@ -236,14 +236,16 @@ def data_to_dict(data: SpectralData) -> dict:
 
 
 def data_from_dict(obj: dict) -> SpectralData:
+    """Spectral data from the wire-format object; non-numbers are structural errors."""
     try:
         kind = BoundaryKind(obj["kind"])
-        lam = obj["lambda"]
-        alpha = obj["alpha"]
-    except (KeyError, ValueError, TypeError) as exc:
+        lam = np.array(obj["lambda"], dtype=float)
+        alpha = np.array(obj["alpha"], dtype=float)
+        h = obj.get("h")
+        h = None if h is None else float(h)
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise StructuralError(f"bad spectral-data object: {exc}") from exc
-    h = obj.get("h")
-    return SpectralData(kind, lam, alpha, h=None if h is None else float(h))
+    return SpectralData(kind, lam, alpha, h=h)
 
 
 def data_json_text(data: SpectralData) -> str:
@@ -255,10 +257,11 @@ def write_data_json(path, data: SpectralData) -> None:
 
 
 def read_data_json(path) -> SpectralData:
+    """Read the JSON wire format; malformed or non-ASCII files are structural errors."""
     try:
         with open(path, "r", encoding="ascii") as f:
             obj = json.load(f)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also non-ASCII bytes and over-long integers
         raise StructuralError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(obj, dict):
         raise StructuralError(f"{path}: expected a JSON object")

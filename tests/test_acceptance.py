@@ -141,7 +141,7 @@ def test_06_factorization_residual():
     for data in (base_data(K=64), const_potential_data(64), const_potential_data(128)):
         phi = assemble_phi(data, M)
         f = KernelF(phi, data.kind)
-        kernel = solve_glm(f, M)
+        kernel = solve_glm(f)
         worst = max(worst, factorization_residual(kernel, f))
     ok = worst <= 5e-3
     report(6, f"factorization residual (max {worst:.1e})", ok)

@@ -44,6 +44,29 @@ UNREAD = [
     pytest.param("riesz", "--nope", id="riesz:nope"),
 ]
 
+# Input files that must exit 3 with one "error: io:" line: (command, file
+# name, contents). Each entry is broken in one way only.
+_GOOD_CSV = "".join(f"{i / 16!r},0.0\n" for i in range(17))
+_NT = '"kind": "NT", "lambda": [1.0, 3.3], "alpha": [2.0, 1.0]'
+MALFORMED = [
+    pytest.param("inverse", "data.json", '{%s, "h": "abc"}' % _NT, id="h-string"),
+    pytest.param("inverse", "data.json", '{%s, "h": [1]}' % _NT, id="h-list"),
+    pytest.param("inverse", "data.json", '{%s, "h": 1%s}' % (_NT, "0" * 400),
+                 id="h-overflow"),
+    pytest.param("inverse", "data.json",
+                 '{"kind": "DD", "lambda": ["a", 6.3], "alpha": [1, 1]}',
+                 id="lambda-string"),
+    pytest.param("inverse", "data.json",
+                 '{"kind": "DD", "lambda": [1%s], "alpha": [1]}' % ("0" * 5000),
+                 id="lambda-too-long"),
+    pytest.param("inverse", "data.json", '{%s, "note": "\u00e9"}' % _NT,
+                 id="json-non-ascii"),
+    pytest.param("direct", "sigma.csv", "x,sigma\n" + _GOOD_CSV + "# \u00e9\n",
+                 id="csv-non-ascii"),
+    pytest.param("direct", "sigma.csv",
+                 "x,sigma\n" + _GOOD_CSV.replace("0.0625,", "nan,"), id="csv-nan-x"),
+]
+
 
 def write_inputs(tmp_path, *, sigma=None, data=None):
     paths = {}
@@ -137,6 +160,18 @@ class TestDirectCommand:
     def test_missing_file_exits_3(self, tmp_path):
         assert main(["direct", "--input", str(tmp_path / "nope.csv"),
                      "--output", str(tmp_path / "o.json")]) == 3
+
+
+class TestMalformedFiles:
+    @pytest.mark.parametrize("command, name, text", MALFORMED)
+    def test_malformed_file_exits_3(self, tmp_path, capsys, command, name, text):
+        path = tmp_path / name
+        path.write_bytes(text.encode("utf-8"))
+        assert main([command, "--input", str(path), "--output",
+                     str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: io:") and err.count("\n") == 1
+        assert [f.name for f in tmp_path.iterdir()] == [name]
 
 
 class TestInverseCommand:

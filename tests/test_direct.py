@@ -164,26 +164,32 @@ class TestEigenvalues:
 
 class TestNormingConstants:
     def test_free_dirichlet(self):
-        alphas = norming_constants(zero_sigma(), [PI, 2 * PI], DD)
+        alphas = norming_constants(zero_sigma(), [PI, 2 * PI], CharParams(DD))
         assert np.allclose(alphas, 1.0, atol=1e-12)
 
     def test_constant_potential(self):
         k = np.arange(1, 5)
         lams = np.sqrt(PI**2 * k**2 + 2)
-        alphas = norming_constants(linear_sigma(2.0), lams, DD)
+        alphas = norming_constants(linear_sigma(2.0), lams, CharParams(DD))
         assert np.max(np.abs(alphas - (1 + 2 / (PI**2 * k**2)))) <= 1e-10
 
     def test_neumann_constant_potential(self):
         # sigma = x (q = 1), NT with h = 1: u_k = sqrt2 cos(pi(k-1)x)
         k = np.arange(1, 5)
         lams = np.sqrt(PI**2 * (k - 1) ** 2 + 1.0)
-        alphas = norming_constants(linear_sigma(1.0), lams, NT, h=1.0)
+        alphas = norming_constants(linear_sigma(1.0), lams, CharParams(NT, h=1.0))
         assert alphas[0] == pytest.approx(2.0, abs=1e-9)
         assert np.allclose(alphas[1:], 1.0, atol=1e-9)
 
     def test_non_eigenvalue_rejected(self):
         with pytest.raises(NumericalError) as exc:
-            norming_constants(zero_sigma(), [3.0], DD)
+            norming_constants(zero_sigma(), [3.0], CharParams(DD))
+        assert "lambda[0]" in str(exc.value)
+
+    def test_non_eigenvalue_rejected_third_type(self):
+        with pytest.raises(NumericalError) as exc:
+            norming_constants(zero_sigma(), [3.0], CharParams(NT, h=1.0))
+        assert exc.value.stage == "norming"
         assert "lambda[0]" in str(exc.value)
 
 
@@ -231,8 +237,8 @@ class TestInvariants:
         shifted = GridFunction(sig.values + c * nodes())
         lam_c = eigenvalues(shifted, 8, p)
         assert np.max(np.abs(lam_c - np.sqrt(lam0**2 + c))) <= 1e-7
-        al0 = norming_constants(sig, lam0, DD)
-        al_c = norming_constants(shifted, lam_c, DD)
+        al0 = norming_constants(sig, lam0, p)
+        al_c = norming_constants(shifted, lam_c, p)
         assert np.max(np.abs(al_c - al0 * (lam0**2 + c) / lam0**2)) <= 1e-6
 
     def test_self_convergence_smooth(self):
@@ -242,8 +248,8 @@ class TestInvariants:
         lam_256 = eigenvalues(linear_sigma(2.0, M=256), 8, p)
         lam_512 = eigenvalues(linear_sigma(2.0, M=512), 8, p)
         assert np.max(np.abs(lam_256 - lam_512)) <= 1e-7
-        al_256 = norming_constants(linear_sigma(2.0, M=256), lam_256, DD)
-        al_512 = norming_constants(linear_sigma(2.0, M=512), lam_512, DD)
+        al_256 = norming_constants(linear_sigma(2.0, M=256), lam_256, p)
+        al_512 = norming_constants(linear_sigma(2.0, M=512), lam_512, p)
         assert np.max(np.abs(al_256 - al_512)) <= 1e-6
 
     def test_remainder_norms_bounded_in_count(self):
@@ -371,9 +377,9 @@ class TestPropagateKernel:
         x = nodes(256)
         sig = GridFunction(2.0 * x + 0.3 * np.log(x + 1e-3) + 0.5 * (x > 0.6))
         lam = eigenvalues(sig, 16, params)
-        alpha = norming_constants(sig, lam, params.kind, h=params.h)
+        alpha = norming_constants(sig, lam, params)
         monkeypatch.setattr(direct, "_propagate", reference_propagate)
         lam_ref = eigenvalues(sig, 16, params)
-        alpha_ref = norming_constants(sig, lam_ref, params.kind, h=params.h)
+        alpha_ref = norming_constants(sig, lam_ref, params)
         assert np.max(np.abs(lam - lam_ref) / lam_ref) <= 1e-12
         assert np.max(np.abs(alpha - alpha_ref) / alpha_ref) <= 1e-12

@@ -130,27 +130,23 @@ class TestKernelF:
 
 class TestPositivityMargin:
     def test_zero_kernel(self):
-        assert positivity_margin(KernelF(zero_phi(), DD), M) == pytest.approx(
+        assert positivity_margin(KernelF(zero_phi(), DD)) == pytest.approx(
             1.0, abs=1e-12
         )
 
     def test_rank_one_eigenvalue(self):
         f = KernelF(assemble_phi(rank_one_data(), M), DD)
-        assert positivity_margin(f, M) == pytest.approx(0.8, abs=5e-3)
+        assert positivity_margin(f) == pytest.approx(0.8, abs=5e-3)
 
     def test_engineered_data_crosses_zero(self):
         data = margin_crossing_data()
         f = KernelF(assemble_phi(data, 16), DD)
-        assert positivity_margin(f, 16) <= 0.0
-
-    def test_grid_mismatch(self):
-        with pytest.raises(StructuralError):
-            positivity_margin(KernelF(zero_phi(), DD), 128)
+        assert positivity_margin(f) <= 0.0
 
 
 class TestSolveGlm:
     def test_zero_kernel(self):
-        ker = solve_glm(KernelF(zero_phi(), DD), M)
+        ker = solve_glm(KernelF(zero_phi(), DD))
         assert np.all(ker.values == 0.0)
 
     def test_rank_one_closed_form(self):
@@ -158,7 +154,7 @@ class TestSolveGlm:
         # gives c(x) = 2 g sin(pi x) / (1 - 2 g I(x)), I(x) = x/2 - sin(2pi x)/(4pi)
         gamma = 0.2
         f = KernelF(assemble_phi(rank_one_data(), M), DD)
-        ker = solve_glm(f, M)
+        ker = solve_glm(f)
         assert ker.values[M // 2, M // 2] == pytest.approx(0.4 / 0.9, abs=1e-3)
         x = nodes(M)
         I_x = x / 2 - np.sin(2 * PI * x) / (4 * PI)
@@ -169,8 +165,14 @@ class TestSolveGlm:
     def test_refuses_nonpositive_margin(self):
         f = KernelF(assemble_phi(margin_crossing_data(), 16), DD)
         with pytest.raises(NumericalError) as exc:
-            solve_glm(f, 16)
+            solve_glm(f)
         assert exc.value.stage == "positivity"
+
+    def test_margin_is_keyword_only(self):
+        # a positional second argument would otherwise be taken as the margin
+        # and skip the positivity certificate
+        with pytest.raises(TypeError):
+            solve_glm(KernelF(zero_phi(), DD), 16)
 
     def test_constant_potential_rows_track_doubled_resolution(self):
         data = const_potential_data(64)
@@ -186,7 +188,7 @@ class TestSolveGlm:
         assert np.max(row_max[-2:]) <= 2e-4
 
     def test_row_shapes(self):
-        ker = solve_glm(KernelF(assemble_phi(rank_one_data(), 32), DD), 32)
+        ker = solve_glm(KernelF(assemble_phi(rank_one_data(), 32), DD))
         for i in (0, 1, 17, 32):
             assert ker.row(i).shape == (i + 1,)
         assert np.all(np.triu(ker.values, k=1) == 0.0)
@@ -195,8 +197,7 @@ class TestSolveGlm:
 class TestRecoverSigma:
     def test_zero_inputs(self):
         sig = recover_sigma(
-            TriangularKernel(np.zeros((M + 1, M + 1))), KernelF(zero_phi(), DD),
-            zero_phi(),
+            TriangularKernel(np.zeros((M + 1, M + 1))), KernelF(zero_phi(), DD)
         )
         assert np.all(sig.values == 0.0)
 
@@ -204,8 +205,8 @@ class TestRecoverSigma:
         gamma = 0.2
         phi = assemble_phi(rank_one_data(), M)
         f = KernelF(phi, DD)
-        ker = solve_glm(f, M)
-        sig = recover_sigma(ker, f, phi)
+        ker = solve_glm(f)
+        sig = recover_sigma(ker, f)
         x = nodes(M)
         I_x = x / 2 - np.sin(2 * PI * x) / (4 * PI)
         c = 2 * gamma * np.sin(PI * x) / (1 - 2 * gamma * I_x)
@@ -216,7 +217,7 @@ class TestRecoverSigma:
         phi = assemble_phi(rank_one_data(), M)
         with pytest.raises(StructuralError):
             recover_sigma(
-                TriangularKernel(np.zeros((129, 129))), KernelF(phi, DD), phi
+                TriangularKernel(np.zeros((129, 129))), KernelF(phi, DD)
             )
 
 
@@ -307,7 +308,7 @@ class TestOperatorIdentities:
         for data in (base_data(), const_potential_data(64), const_potential_data(128)):
             phi = assemble_phi(data, M)
             f = KernelF(phi, DD)
-            ker = solve_glm(f, M)
+            ker = solve_glm(f)
             assert factorization_residual(ker, f) <= 5e-3
 
     def test_glm_uniqueness_witness(self):
@@ -315,7 +316,7 @@ class TestOperatorIdentities:
         # equation residual
         phi = assemble_phi(rank_one_data(), M)
         f = KernelF(phi, DD)
-        ker = solve_glm(f, M)
+        ker = solve_glm(f)
         r_solved = np.max(glm_residual(ker, f))
         bumped = np.array(ker.values)
         bumped[M // 2, : M // 2 + 1] += 1e-3
@@ -325,7 +326,7 @@ class TestOperatorIdentities:
     def test_hs_norm_is_weighted_entry_norm(self):
         phi = assemble_phi(rank_one_data(), 64)
         f = KernelF(phi, DD)
-        ker = solve_glm(f, 64)
+        ker = solve_glm(f)
         from slspec.glm import _row_weights
         from slspec.grid import trapezoid_weights
 
