@@ -37,7 +37,6 @@ from .glm import (
     reconstruct,
     recover_h,
     recover_sigma,
-    smooth_q_diagnostic,
     solve_glm,
 )
 from .grid import (
@@ -95,7 +94,6 @@ __all__ = [
     "roundtrip_report",
     "shift_spectrum",
     "shoot",
-    "smooth_q_diagnostic",
     "solve_glm",
     "stability_probe",
     "synthesize_data",

@@ -41,8 +41,7 @@ def replay_spectrum(rec: ReconstructionResult, kind: BoundaryKind, count: int) -
     For third-type kinds the replay uses the recovered h, which absorbs the
     gauge shift of the reconstruction.
     """
-    h = rec.h if kind.third_type_at_one else 0.0
-    return eigenvalues(rec.sigma, count, CharParams(kind, h=h))
+    return eigenvalues(rec.sigma, count, CharParams(kind, h=rec.h or 0.0))
 
 
 def roundtrip_report(

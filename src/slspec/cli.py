@@ -203,7 +203,7 @@ _FLAGS = {
     "--kind": dict(choices=[k.value for k in BoundaryKind], default="DD",
                    help="boundary kind (default DD)"),
     "--h": dict(type=float, default=0.0,
-                help="third-type boundary parameter (NT/DN)"),
+                help="third-type boundary parameter (NT/DN only)"),
     "--shift": dict(type=float, default=0.0, metavar="C",
                     help="shift sigma by C*x (CSV inputs) or the data "
                          "spectrum by C (JSON inputs)"),

@@ -23,9 +23,10 @@ Blocks hold at most BLOCK_ENTRIES cell-lambda entries, so working memory is a
 few MB whatever the grid or the number of lambda values.
 
 Eigenvalues are located by scanning the boundary-condition residual for sign
-changes near the kind's base frequencies and refining each bracket by
-bisection (the residual is entire in lambda with simple real zeros, so sign
-changes are reliable even for rough sigma).
+changes, from a floor certified by a Sturm count up to a min-max bound read
+off sigma, and refining each bracket by bisection (the residual is entire in
+lambda with simple real zeros, so sign changes are reliable even for rough
+sigma).
 """
 
 from __future__ import annotations
@@ -42,9 +43,8 @@ from .spectra import BoundaryKind, SpectralData, validate_spectral_data
 
 SQRT2 = math.sqrt(2.0)
 
-# Bracketing policy: scan window half-width around the base anchors, scan
-# resolution, positive floor for the scan start, and bisection tolerance.
-SCAN_MARGIN = math.pi / 2
+# Bracketing policy: scan resolution, positive floor for the scan start, and
+# bisection tolerance.
 SCAN_STEP = math.pi / 16
 LAMBDA_FLOOR = 1e-4
 REFINE_RTOL = 1e-10
@@ -62,7 +62,7 @@ BLOCK_ENTRIES = 1 << 15
 
 @dataclass(frozen=True)
 class CharParams:
-    """Boundary kind plus the third-type parameter h (used for NT/DN only)."""
+    """Boundary kind plus the third-type parameter h (NT/DN only; 0 elsewhere)."""
 
     kind: BoundaryKind
     h: float = 0.0
@@ -70,6 +70,8 @@ class CharParams:
     def __post_init__(self):
         if not math.isfinite(self.h):
             raise StructuralError("h must be finite")
+        if self.h != 0.0 and not self.kind.third_type_at_one:
+            raise StructuralError(f"kind {self.kind.value} has no third-type parameter h")
 
 
 @dataclass(frozen=True)
@@ -279,40 +281,52 @@ def eigenvalues(sigma: GridFunction, count: int, params: CharParams) -> np.ndarr
     """First ``count`` positive zeros of the characteristic, refined to
     ``|dlambda| <= 1e-10 * max(1, lambda)``.
 
-    The scan covers [base(1) - pi/2, base(count) + pi/2] clipped to positive
-    lambda at resolution pi/16. Finding fewer sign changes than ``count``
-    raises :class:`NumericalError`: either the operator is not positive (shift
-    sigma by c*x first) or the scan window does not match the data.
+    The scan covers [LAMBDA_FLOOR, sqrt((pi*count)^2 + max q) + pi/16] at
+    resolution pi/16, with q = M*diff(sigma) the cell potential: by min-max,
+    every kind's lambda_count^2 is at most the Dirichlet one, which is at most
+    (pi*count)^2 + max q. :class:`NumericalError` is raised when a Sturm count
+    at the floor (Pryce 1993) finds an eigenvalue below it, that is when the
+    operator is not positive (shift sigma by c*x first), and when the window
+    holds fewer than ``count`` sign changes.
     """
     if count < 1:
         raise StructuralError("count must be >= 1")
-    base = params.kind.base_array(count)
-    lo = max(base[0] - SCAN_MARGIN, LAMBDA_FLOOR)
-    hi = base[-1] + SCAN_MARGIN
-    n_steps = int(math.ceil((hi - lo) / SCAN_STEP))
-    grid = lo + SCAN_STEP * np.arange(n_steps + 1)
+    q = sigma.M * np.diff(sigma.values)
+    # The count is the floor shot's interior zeros, plus one for third-type
+    # kinds when u(1)*(u^[1](1) + h*u(1)) < 0. Node signs see every zero only
+    # while no cell can hold two, that is while lambda^2 - q < (pi*M)^2.
+    if LAMBDA_FLOOR**2 - q.min() >= (math.pi * sigma.M) ** 2:
+        raise NumericalError("a cell potential is <= -(pi*M)^2, too coarse a grid "
+                             "to count eigenfunction zeros", stage="bracket")
+    u1, du1, _, traj = _propagate(sigma, [LAMBDA_FLOOR], params.kind, trajectory=True)
+    signs = np.sign(traj[:, 0, 0])
+    below = np.count_nonzero(np.diff(signs[signs != 0.0]))
+    if params.kind.third_type_at_one and u1[0] * _boundary_residual(u1, du1, params)[0] < 0:
+        below += 1
+    if below:
+        raise NumericalError(f"{below} eigenvalue(s) lie below lambda^2 = {LAMBDA_FLOOR**2:.3g}; "
+                             "the operator is not positive", stage="bracket")
+    hi = math.sqrt((math.pi * count) ** 2 + q.max()) + SCAN_STEP
+    n_steps = int(math.ceil((hi - LAMBDA_FLOOR) / SCAN_STEP))
+    grid = LAMBDA_FLOOR + SCAN_STEP * np.arange(n_steps + 1)
 
     fvals = _characteristic_batch(sigma, grid, params)
     sign = np.sign(fvals)
     flips = np.nonzero((sign[:-1] * sign[1:] < 0) | (sign[:-1] == 0))[0]
-    if sign[-1] == 0:
-        flips = np.append(flips, grid.size - 1)
     if flips.size < count:
         raise NumericalError(
             f"found {flips.size} characteristic sign changes in "
-            f"[{grid[0]:.6g}, {grid[-1]:.6g}] but {count} eigenvalues were "
-            "requested; the operator may not be positive or the scan window "
-            "does not match the data",
+            f"[{grid[0]:.6g}, {grid[-1]:.6g}], which holds the first {count} "
+            "eigenvalues; two of them may lie within one scan step",
             stage="bracket",
         )
     flips = flips[:count]
 
     exact = fvals[flips] == 0.0
-    right = np.minimum(flips + 1, grid.size - 1)
     a = grid[flips].copy()
-    b = np.where(exact, a, grid[right])
+    b = np.where(exact, a, grid[flips + 1])
     fa = fvals[flips].copy()
-    fb = np.where(exact, 0.0, fvals[right])
+    fb = np.where(exact, 0.0, fvals[flips + 1])
 
     for _ in range(200):
         mid = 0.5 * (a + b)

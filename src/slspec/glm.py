@@ -114,6 +114,11 @@ class KernelF:
         out.flags.writeable = False
         return out
 
+    @cached_property
+    def margin(self) -> float:
+        """Smallest eigenvalue of the symmetrized discretization of I + F."""
+        return float(np.linalg.eigvalsh(_symmetrized(self))[0])
+
 
 def _symmetrized(f: KernelF) -> np.ndarray:
     """I + W^{1/2} F W^{1/2} (W the trapezoid weights), similar to I + F W."""
@@ -127,9 +132,9 @@ def positivity_margin(f: KernelF) -> float:
     """Smallest eigenvalue of the symmetrized discretization of I + F.
 
     Returned even when nonpositive; a positive value is the solvability
-    certificate for :func:`solve_glm`.
+    certificate for :func:`solve_glm`. It is computed once per ``f``.
     """
-    return float(np.linalg.eigvalsh(_symmetrized(f))[0])
+    return f.margin
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,9 +163,6 @@ class TriangularKernel:
         """Row k(x_i, y_0..y_i); has exactly i+1 entries."""
         return self.values[i, : i + 1]
 
-    def diagonal(self) -> np.ndarray:
-        return np.diag(self.values)
-
 
 def _row_weights(M: int) -> np.ndarray:
     """Trapezoid weights of int_0^{x_i} as a lower-triangular (M+1)^2 table."""
@@ -173,18 +175,17 @@ def _row_weights(M: int) -> np.ndarray:
     return w
 
 
-def solve_glm(f: KernelF, *, margin: Optional[float] = None) -> TriangularKernel:
+def solve_glm(f: KernelF) -> TriangularKernel:
     """Solve the discretized integral equation for the triangular kernel.
 
     Row i solves ``(I + F^T_w) k_i = -f(x_i, .)`` where F^T_w is the kernel
     section on [0, x_i] with trapezoid column weights. Uniform positivity of
-    I + F guarantees every row system is solvable, so ``margin`` (computed
-    when not given) is checked first; a nonpositive value raises
+    I + F guarantees every row system is solvable, so the positivity margin
+    of ``f`` is checked first; a nonpositive value raises
     :class:`NumericalError`.
     """
     M = f.M
-    if margin is None:
-        margin = positivity_margin(f)
+    margin = positivity_margin(f)
     if margin <= 0.0:
         raise NumericalError(
             f"I + F is not uniformly positive (margin {margin:.6g} <= 0); "
@@ -283,22 +284,6 @@ def recover_h(sigma: GridFunction, lambda1: float, kind: BoundaryKind) -> float:
     return -res.du1 / res.u1
 
 
-def smooth_q_diagnostic(kernel: TriangularKernel) -> GridFunction:
-    """Potential estimate q(x) = 2 d/dx k(x, x) by finite differences.
-
-    Central differences inside, one-sided second-order stencils at the
-    endpoints. Diagnostic only: differentiation amplifies truncation noise, so
-    this is meaningful for smooth data.
-    """
-    d = kernel.diagonal()
-    M = kernel.M
-    q = np.empty(M + 1)
-    q[1:-1] = (d[2:] - d[:-2]) * (M / 2.0)
-    q[0] = (-3.0 * d[0] + 4.0 * d[1] - d[2]) * (M / 2.0)
-    q[-1] = (3.0 * d[-1] - 4.0 * d[-2] + d[-3]) * (M / 2.0)
-    return GridFunction(2.0 * q)
-
-
 @dataclass(frozen=True, eq=False)
 class ReconstructionResult:
     """Everything the inverse pipeline produces for one dataset."""
@@ -321,7 +306,7 @@ def reconstruct(data: SpectralData, M: int) -> ReconstructionResult:
     phi = assemble_phi(data, M)
     f = KernelF(phi, data.kind)
     margin = positivity_margin(f)
-    kernel = solve_glm(f, margin=margin)
+    kernel = solve_glm(f)
     sigma = recover_sigma(kernel, f)
     h = None
     if data.kind.third_type_at_one:

@@ -125,8 +125,8 @@ class SpectralData:
             )
         if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(alpha))):
             raise StructuralError("lambda and alpha must be finite")
-        if self.h is not None and not math.isfinite(self.h):
-            raise StructuralError("h must be finite")
+        if self.h is not None and not (self.kind.third_type_at_one and math.isfinite(self.h)):
+            raise StructuralError(f"h must be a finite NT/DN parameter, got {self.h}")
         lam.flags.writeable = False
         alpha.flags.writeable = False
         object.__setattr__(self, "lam", lam)
@@ -236,12 +236,15 @@ def data_to_dict(data: SpectralData) -> dict:
 
 
 def data_from_dict(obj: dict) -> SpectralData:
-    """Spectral data from the wire-format object; non-numbers are structural errors."""
+    """Spectral data from the wire-format object; non-numbers (bools too) are structural errors."""
     try:
         kind = BoundaryKind(obj["kind"])
+        h = obj.get("h")
+        numbers = [*obj["lambda"], *obj["alpha"]] + ([] if h is None else [h])
+        if any(type(v) not in (int, float) for v in numbers):  # bool is an int
+            raise TypeError("lambda, alpha and h must hold JSON numbers only")
         lam = np.array(obj["lambda"], dtype=float)
         alpha = np.array(obj["alpha"], dtype=float)
-        h = obj.get("h")
         h = None if h is None else float(h)
     except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise StructuralError(f"bad spectral-data object: {exc}") from exc

@@ -59,6 +59,17 @@ MALFORMED = [
     pytest.param("inverse", "data.json",
                  '{"kind": "DD", "lambda": [1%s], "alpha": [1]}' % ("0" * 5000),
                  id="lambda-too-long"),
+    pytest.param("inverse", "data.json",
+                 '{"kind": "DD", "lambda": ["3.2", 6.3], "alpha": [1, 1]}',
+                 id="lambda-numeric-string"),
+    pytest.param("inverse", "data.json",
+                 '{"kind": "DD", "lambda": [3.2, 6.3], "alpha": [true, 1]}',
+                 id="alpha-bool"),
+    pytest.param("inverse", "data.json", '{%s, "h": "1.5"}' % _NT,
+                 id="h-numeric-string"),
+    pytest.param("inverse", "data.json",
+                 '{"kind": "DD", "lambda": [3.2, 6.3], "alpha": [1, 1], "h": 1.5}',
+                 id="h-on-DD"),
     pytest.param("inverse", "data.json", '{%s, "note": "\u00e9"}' % _NT,
                  id="json-non-ascii"),
     pytest.param("direct", "sigma.csv", "x,sigma\n" + _GOOD_CSV + "# \u00e9\n",
@@ -149,6 +160,16 @@ class TestDirectCommand:
         assert data.h == 1.0
         assert data.lam[0] == pytest.approx(1.0, abs=1e-9)
         assert data.alpha[0] == pytest.approx(2.0, abs=1e-9)
+
+    @pytest.mark.parametrize("kind", ["DD", "ND"])
+    def test_h_on_kind_without_third_type_exits_3(self, tmp_path, capsys, kind):
+        # DD/ND never read h: a run with it would only look like it used it
+        p = write_inputs(tmp_path, sigma=linear_sigma(2.0))
+        out = tmp_path / "data.json"
+        assert main(["direct", "--input", str(p["sigma"]), "--output", str(out),
+                     "--count", "2", "--kind", kind, "--h", "5"]) == 3
+        assert capsys.readouterr().err.startswith("error: io:")
+        assert not out.exists()
 
     def test_bad_csv_exits_3(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"

@@ -150,12 +150,40 @@ class TestEigenvalues:
         assert np.max(np.abs(lam_256 - lam_fresh)) <= 1e-3
 
     def test_bracket_mismatch_is_loud(self):
-        # free NT operator has lambda = 0 in its spectrum: only count-1
-        # positive zeros live in the scan window
+        # free NT operator has lambda = 0 in its spectrum: the Sturm count at
+        # the scan floor finds it, instead of returning lambda_2..lambda_5
         with pytest.raises(NumericalError) as exc:
             eigenvalues(zero_sigma(), 4, CharParams(NT, h=0.0))
         assert exc.value.stage == "bracket"
-        assert "sign changes" in str(exc.value)
+        assert "not positive" in str(exc.value)
+
+    @pytest.mark.parametrize("c, count", [(60.0, 1), (60.0, 3), (-9.0, 3), (-9.0, 4)])
+    def test_window_holds_shifted_eigenvalues(self, c, count):
+        # lambda_1 = sqrt(pi^2 + 60) lies past base_1 + pi/2, and -9x pulls
+        # lambda_1 below base_1 - pi/2: the window comes from sigma itself
+        lams = eigenvalues(linear_sigma(c, 1024), count, CharParams(DD))
+        truth = np.sqrt(PI**2 * np.arange(1, count + 1) ** 2 + c)
+        assert np.max(np.abs(lams - truth)) <= 1e-8
+
+    def test_eigenvalue_below_floor_is_loud(self):
+        # NT, h = 1, log-singular sigma: u(1)*(u^[1](1) + u(1)) < 0 at the
+        # floor with no interior zero, so one eigenvalue lies below it
+        x = nodes(256)
+        sig = GridFunction(2 * x + 0.3 * np.log(x + 1e-3) + 0.5 * (x > 0.6))
+        with pytest.raises(NumericalError) as exc:
+            eigenvalues(sig, 16, CharParams(NT, h=1.0))
+        assert exc.value.stage == "bracket"
+        assert "not positive" in str(exc.value)
+
+    def test_too_coarse_grid_is_refused(self):
+        # a drop of more than pi^2*M in one cell: the floor shot could have
+        # two zeros inside that cell, unseen by the node signs
+        values = np.zeros(17)
+        values[9:] = -1.01 * PI**2 * 16
+        with pytest.raises(NumericalError) as exc:
+            eigenvalues(GridFunction(values), 1, CharParams(DD))
+        assert exc.value.stage == "bracket"
+        assert "too coarse" in str(exc.value)
 
     def test_strictly_increasing(self):
         lams = eigenvalues(step_sigma(), 12, CharParams(DD))

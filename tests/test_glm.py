@@ -22,7 +22,6 @@ from slspec import (
     reconstruct,
     recover_h,
     recover_sigma,
-    smooth_q_diagnostic,
     solve_glm,
 )
 from slspec.glm import PhiTable, TriangularKernel, glm_residual, kernel_hs_norm
@@ -34,7 +33,6 @@ from conftest import (
     margin_crossing_data,
     nodes,
     nt_shifted_data,
-    step_sigma,
     zero_sigma,
 )
 
@@ -169,10 +167,25 @@ class TestSolveGlm:
         assert exc.value.stage == "positivity"
 
     def test_margin_is_keyword_only(self):
-        # a positional second argument would otherwise be taken as the margin
-        # and skip the positivity certificate
+        # a positional second argument is refused, not taken as the grid size
         with pytest.raises(TypeError):
             solve_glm(KernelF(zero_phi(), DD), 16)
+
+    def test_margin_computed_once_per_f(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+        f = KernelF(zero_phi(), DD)
+        assert positivity_margin(f) == pytest.approx(1.0, abs=1e-12)
+        solve_glm(f)
+        assert len(calls) == 1
+
+    def test_margin_cannot_be_supplied(self):
+        # the certificate is always computed from f: a caller's margin would
+        # let indefinite data through (its kernel reaches entries of 317)
+        f = KernelF(assemble_phi(margin_crossing_data(), 16), DD)
+        with pytest.raises(TypeError):
+            solve_glm(f, margin=1.0)
 
     def test_constant_potential_rows_track_doubled_resolution(self):
         data = const_potential_data(64)
@@ -247,30 +260,6 @@ class TestRecoverH:
     def test_wrong_kind(self):
         with pytest.raises(StructuralError):
             recover_h(zero_sigma(), PI, DD)
-
-
-class TestSmoothQDiagnostic:
-    def test_zero_kernel(self):
-        q = smooth_q_diagnostic(TriangularKernel(np.zeros((M + 1, M + 1))))
-        assert np.all(q.values == 0.0)
-
-    def test_constant_potential(self):
-        # the diagonal carries a truncation oscillation at frequency ~2*lam_K
-        # that differencing amplifies; the mean over the interior is clean
-        rec = reconstruct(const_potential_data(64), M)
-        q = smooth_q_diagnostic(rec.kernel).values
-        interior = q[M // 4 : 3 * M // 4 + 1]
-        assert np.mean(interior) == pytest.approx(2.0, abs=0.05)
-        assert np.max(np.abs(interior - 2.0)) <= 6.0
-
-    def test_step_sigma_spike_near_jump(self):
-        data = direct_spectral_data(step_sigma(), 64, CharParams(DD))
-        rec = reconstruct(data, M)
-        q = smooth_q_diagnostic(rec.kernel).values
-        x = nodes(M)
-        window = (x >= 0.1) & (x <= 0.9)
-        spike_at = x[window][np.argmax(np.abs(q[window]))]
-        assert 0.45 <= spike_at <= 0.55
 
 
 class TestReconstruct:
