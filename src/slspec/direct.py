@@ -23,10 +23,10 @@ Blocks hold at most BLOCK_ENTRIES cell-lambda entries, so working memory is a
 few MB whatever the grid or the number of lambda values.
 
 Eigenvalues are located by scanning the boundary-condition residual for sign
-changes, from a floor certified by a Sturm count up to a min-max bound read
-off sigma, and refining each bracket by bisection (the residual is entire in
-lambda with simple real zeros, so sign changes are reliable even for rough
-sigma).
+changes, from a floor up to a min-max bound read off sigma; Sturm counts at
+both ends certify that each sign change brackets exactly one eigenvalue, and
+Illinois regula falsi refines the brackets (the residual is entire in lambda
+with simple real zeros, so this holds even for rough sigma).
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .spectra import BoundaryKind, SpectralData, validate_spectral_data
 SQRT2 = math.sqrt(2.0)
 
 # Bracketing policy: scan resolution, positive floor for the scan start, and
-# bisection tolerance.
+# refinement tolerance.
 SCAN_STEP = math.pi / 16
 LAMBDA_FLOOR = 1e-4
 REFINE_RTOL = 1e-10
@@ -277,6 +277,27 @@ def characteristic(sigma: GridFunction, lam: float, params: CharParams) -> float
     return float(_characteristic_batch(sigma, [lam], params)[0])
 
 
+def _count_below(sigma: GridFunction, lam: float, params: CharParams) -> int:
+    """Sturm count (Pryce 1993): how many eigenvalues lie below lam^2.
+
+    That is the number of zeros of the shot at ``lam`` in (0, 1], plus one for
+    third-type kinds when u(1)*(u^[1](1) + h*u(1)) < 0, counted exactly per
+    cell on any grid. On a trigonometric cell u = R*sin(w*t + psi) has
+    floor((psi + w*delta)/pi) - floor(psi/pi) zeros: j = floor(w*delta/pi) or
+    j + 1, whichever has the parity of the cell's sign change. A hyperbolic or
+    series cell holds at most one zero, seen as a sign change.
+    """
+    u1, du1, _, traj = _propagate(sigma, [lam], params.kind, trajectory=True)
+    u, du = traj[:, 0, 0], traj[:, 1, 0]
+    sign = np.where(u != 0.0, np.sign(u), np.sign(du))  # a zero takes the sign after it
+    w = np.sqrt(np.maximum(lam * lam - sigma.M * np.diff(sigma.values), 0.0))
+    turns = np.floor(w / (math.pi * sigma.M))
+    below = int(np.sum(turns + (turns + (sign[1:] != sign[:-1])) % 2))
+    if params.kind.third_type_at_one and u1[0] * _boundary_residual(u1, du1, params)[0] < 0:
+        below += 1
+    return below
+
+
 def eigenvalues(sigma: GridFunction, count: int, params: CharParams) -> np.ndarray:
     """First ``count`` positive zeros of the characteristic, refined to
     ``|dlambda| <= 1e-10 * max(1, lambda)``.
@@ -284,42 +305,36 @@ def eigenvalues(sigma: GridFunction, count: int, params: CharParams) -> np.ndarr
     The scan covers [LAMBDA_FLOOR, sqrt((pi*count)^2 + max q) + pi/16] at
     resolution pi/16, with q = M*diff(sigma) the cell potential: by min-max,
     every kind's lambda_count^2 is at most the Dirichlet one, which is at most
-    (pi*count)^2 + max q. :class:`NumericalError` is raised when a Sturm count
-    at the floor (Pryce 1993) finds an eigenvalue below it, that is when the
-    operator is not positive (shift sigma by c*x first), and when the window
-    holds fewer than ``count`` sign changes.
+    (pi*count)^2 + max q. Sturm counts certify the window: no eigenvalue lies
+    below the floor, and as many lie below the top as the scan has sign
+    changes, so the k-th bracket holds lambda_k alone; otherwise
+    :class:`NumericalError` is raised (shift sigma by c*x when the operator is
+    not positive). Illinois regula falsi (Dowell & Jarratt 1971) refines only
+    the brackets still open; two safeguarded secant steps polish the roots.
     """
     if count < 1:
         raise StructuralError("count must be >= 1")
-    q = sigma.M * np.diff(sigma.values)
-    # The count is the floor shot's interior zeros, plus one for third-type
-    # kinds when u(1)*(u^[1](1) + h*u(1)) < 0. Node signs see every zero only
-    # while no cell can hold two, that is while lambda^2 - q < (pi*M)^2.
-    if LAMBDA_FLOOR**2 - q.min() >= (math.pi * sigma.M) ** 2:
-        raise NumericalError("a cell potential is <= -(pi*M)^2, too coarse a grid "
-                             "to count eigenfunction zeros", stage="bracket")
-    u1, du1, _, traj = _propagate(sigma, [LAMBDA_FLOOR], params.kind, trajectory=True)
-    signs = np.sign(traj[:, 0, 0])
-    below = np.count_nonzero(np.diff(signs[signs != 0.0]))
-    if params.kind.third_type_at_one and u1[0] * _boundary_residual(u1, du1, params)[0] < 0:
-        below += 1
+    below = _count_below(sigma, LAMBDA_FLOOR, params)
     if below:
         raise NumericalError(f"{below} eigenvalue(s) lie below lambda^2 = {LAMBDA_FLOOR**2:.3g}; "
                              "the operator is not positive", stage="bracket")
-    hi = math.sqrt((math.pi * count) ** 2 + q.max()) + SCAN_STEP
-    n_steps = int(math.ceil((hi - LAMBDA_FLOOR) / SCAN_STEP))
-    grid = LAMBDA_FLOOR + SCAN_STEP * np.arange(n_steps + 1)
+    hi = math.sqrt((math.pi * count) ** 2 + sigma.M * np.diff(sigma.values).max()) + SCAN_STEP
+    grid = LAMBDA_FLOOR + SCAN_STEP * np.arange(math.ceil((hi - LAMBDA_FLOOR) / SCAN_STEP) + 1)
 
     fvals = _characteristic_batch(sigma, grid, params)
     sign = np.sign(fvals)
     flips = np.nonzero((sign[:-1] * sign[1:] < 0) | (sign[:-1] == 0))[0]
+    inside = _count_below(sigma, grid[-1], params)
+    if inside != flips.size:
+        raise NumericalError(
+            f"[{grid[0]:.6g}, {grid[-1]:.6g}] holds {inside} eigenvalues but the scan "
+            f"found {flips.size} characteristic sign changes: two eigenvalues share "
+            f"a scan step of {SCAN_STEP:.6g}", stage="bracket")
     if flips.size < count:
         raise NumericalError(
             f"found {flips.size} characteristic sign changes in "
             f"[{grid[0]:.6g}, {grid[-1]:.6g}], which holds the first {count} "
-            "eigenvalues; two of them may lie within one scan step",
-            stage="bracket",
-        )
+            "eigenvalues", stage="bracket")
     flips = flips[:count]
 
     exact = fvals[flips] == 0.0
@@ -328,17 +343,30 @@ def eigenvalues(sigma: GridFunction, count: int, params: CharParams) -> np.ndarr
     fa = fvals[flips].copy()
     fb = np.where(exact, 0.0, fvals[flips + 1])
 
+    # Illinois weights: the end kept twice in a row has its weight halved, so
+    # the step cannot stall on one side; weights keep the sign of fa, fb.
+    wa, wb = fa.copy(), fb.copy()
+    kept_a = np.zeros(count, dtype=bool)
+    kept_b = np.zeros(count, dtype=bool)
     for _ in range(200):
-        mid = 0.5 * (a + b)
-        tol = REFINE_RTOL * np.maximum(1.0, mid)
-        if np.all(b - a <= tol):
+        i = np.nonzero(b - a > REFINE_RTOL * np.maximum(1.0, 0.5 * (a + b)))[0]
+        if not i.size:
             break
-        fm = _characteristic_batch(sigma, mid, params)
-        a, fa, b, fb = _narrow(a, fa, b, fb, mid, fm)
+        ai, bi = a[i], b[i]
+        x = (ai * wb[i] - bi * wa[i]) / (wb[i] - wa[i])  # opposite signs, never 0
+        x = np.where((x > ai) & (x < bi), x, 0.5 * (ai + bi))
+        fx = _characteristic_batch(sigma, x, params)
+        new_a = np.sign(fx) == np.sign(fa[i])
+        a[i], fa[i], b[i], fb[i] = _narrow(ai, fa[i], bi, fb[i], x, fx)
+        wa[i] = np.where(new_a, fx, np.where(kept_a[i], 0.5 * wa[i], wa[i]))
+        wb[i] = np.where(new_a, np.where(kept_b[i], 0.5 * wb[i], wb[i]), fx)
+        kept_a[i], kept_b[i] = ~new_a, new_a
+    else:
+        raise NumericalError("200 regula falsi passes left a bracket open", stage="bracket")
 
-    # Two safeguarded secant steps sharpen the bisection midpoint down to the
-    # precision of the residual evaluation itself; they keep the root
-    # bracketed, so robustness is unchanged.
+    # Two safeguarded secant steps on the true end values sharpen the root
+    # down to the precision of the residual evaluation itself; they keep the
+    # root bracketed, so robustness is unchanged.
     roots = 0.5 * (a + b)
     for _ in range(2):
         denom = fb - fa

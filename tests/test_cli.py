@@ -4,13 +4,20 @@ import math
 import numpy as np
 import pytest
 
-from slspec import read_data_json, read_sigma_csv, write_data_json, write_sigma_csv
+from slspec import (
+    GridFunction,
+    read_data_json,
+    read_sigma_csv,
+    write_data_json,
+    write_sigma_csv,
+)
 from slspec.cli import main
 
 from conftest import (
     base_data,
     linear_sigma,
     margin_crossing_data,
+    nodes,
     step_sigma,
     zero_sigma,
 )
@@ -160,6 +167,18 @@ class TestDirectCommand:
         assert data.h == 1.0
         assert data.lam[0] == pytest.approx(1.0, abs=1e-9)
         assert data.alpha[0] == pytest.approx(2.0, abs=1e-9)
+
+    def test_close_pair_exits_2(self, tmp_path, capsys):
+        # a double well whose lambda_1 and lambda_2 share a scan step; it
+        # used to exit 0 with lambda_3..lambda_6
+        sig = GridFunction(1e3 * np.clip(nodes(1024) - 0.45, 0.0, 0.1))
+        p = write_inputs(tmp_path, sigma=sig)
+        out = tmp_path / "data.json"
+        code = main(["direct", "--input", str(p["sigma"]), "--output", str(out),
+                     "--count", "4", "--kind", "DD"])
+        assert code == 2
+        assert "share a scan step" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("kind", ["DD", "ND"])
     def test_h_on_kind_without_third_type_exits_3(self, tmp_path, capsys, kind):

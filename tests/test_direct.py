@@ -18,7 +18,7 @@ from slspec import (
 )
 
 from slspec import direct
-from slspec.direct import _propagate
+from slspec.direct import _characteristic_batch, _propagate
 
 from conftest import linear_sigma, nodes, step_sigma, zero_sigma
 
@@ -96,8 +96,6 @@ class TestCharacteristic:
 
     def test_matches_sine_pointwise(self):
         # Wronskian-type identity: residual is exactly sqrt2 sin(lambda)
-        from slspec.direct import _characteristic_batch
-
         lams = np.linspace(0.25, 40.0, 161)
         vals = _characteristic_batch(zero_sigma(), lams, CharParams(DD))
         assert np.max(np.abs(vals - SQRT2 * np.sin(lams))) <= 1e-10
@@ -176,14 +174,25 @@ class TestEigenvalues:
         assert "not positive" in str(exc.value)
 
     def test_too_coarse_grid_is_refused(self):
-        # a drop of more than pi^2*M in one cell: the floor shot could have
-        # two zeros inside that cell, unseen by the node signs
+        # a drop of more than pi^2*M in one cell turns the floor shot by more
+        # than pi inside that cell: an eigenvalue lies below the floor
         values = np.zeros(17)
         values[9:] = -1.01 * PI**2 * 16
         with pytest.raises(NumericalError) as exc:
             eigenvalues(GridFunction(values), 1, CharParams(DD))
         assert exc.value.stage == "bracket"
-        assert "too coarse" in str(exc.value)
+        assert "not positive" in str(exc.value)
+
+    @pytest.mark.parametrize("V", [1e3, 3e3, 1e4])
+    def test_close_pair_is_loud(self, V):
+        # a positive double well: lambda_1 = 6.4806 and lambda_2 = 6.5565
+        # (V = 1e3) lie closer than a scan step, so the scan sees no sign
+        # change between them; the count at the top of the window does
+        sig = GridFunction(V * np.clip(nodes(1024) - 0.45, 0.0, 0.1))
+        with pytest.raises(NumericalError) as exc:
+            eigenvalues(sig, 4, CharParams(DD))
+        assert exc.value.stage == "bracket"
+        assert "share a scan step" in str(exc.value)
 
     def test_strictly_increasing(self):
         lams = eigenvalues(step_sigma(), 12, CharParams(DD))
@@ -292,8 +301,6 @@ class TestInvariants:
         assert norms[32][1] <= norms[64][1] <= 1.1 * norms[32][1]
 
     def test_sign_change_count_matches(self):
-        from slspec.direct import _characteristic_batch
-
         count = 8
         for sig in (zero_sigma(), linear_sigma(2.0), step_sigma()):
             grid = np.linspace(1e-4, PI * (count + 0.5), 4 * 16 * (count + 1))
@@ -411,3 +418,116 @@ class TestPropagateKernel:
         alpha_ref = norming_constants(sig, lam_ref, params)
         assert np.max(np.abs(lam - lam_ref) / lam_ref) <= 1e-12
         assert np.max(np.abs(alpha - alpha_ref) / alpha_ref) <= 1e-12
+
+
+def reference_eigenvalues(sigma, count, params):
+    """Scan, bisection and secant polish: the refinement that regula falsi
+    replaced, kept as the reference for ``eigenvalues`` (the Sturm-count
+    checks of the window are left out)."""
+    step, floor = direct.SCAN_STEP, direct.LAMBDA_FLOOR
+    hi = math.sqrt((PI * count) ** 2 + sigma.M * np.diff(sigma.values).max()) + step
+    grid = floor + step * np.arange(int(math.ceil((hi - floor) / step)) + 1)
+    fvals = _characteristic_batch(sigma, grid, params)
+    sign = np.sign(fvals)
+    flips = np.nonzero((sign[:-1] * sign[1:] < 0) | (sign[:-1] == 0))[0][:count]
+    exact = fvals[flips] == 0.0
+    a = grid[flips].copy()
+    b = np.where(exact, a, grid[flips + 1])
+    fa = fvals[flips].copy()
+    fb = np.where(exact, 0.0, fvals[flips + 1])
+    for _ in range(200):
+        mid = 0.5 * (a + b)
+        if np.all(b - a <= direct.REFINE_RTOL * np.maximum(1.0, mid)):
+            break
+        fm = _characteristic_batch(sigma, mid, params)
+        a, fa, b, fb = direct._narrow(a, fa, b, fb, mid, fm)
+    roots = 0.5 * (a + b)
+    for _ in range(2):
+        denom = fb - fa
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cand = np.where(denom != 0.0, (a * fb - b * fa) / denom, roots)
+        cand = np.clip(cand, a, b)
+        fc = _characteristic_batch(sigma, cand, params)
+        a, fa, b, fb = direct._narrow(a, fa, b, fb, cand, fc)
+        roots = cand
+    return roots
+
+
+def singular_sigma(seed, shape, M=1024):
+    """Seeded log-singular or jump sigma plus a drift 5x that keeps the DD
+    and ND operators positive."""
+    rng = np.random.default_rng(seed)
+    x = nodes(M)
+    if shape == "coulomb":
+        x0 = (math.floor(rng.uniform(0.25, 0.75) * M) + 0.5) / M  # mid-cell
+        part = rng.uniform(0.05, 0.1) * rng.choice((-1.0, 1.0)) * np.log(np.abs(x - x0))
+    else:
+        where = rng.uniform(0.1, 0.9, size=3)
+        heights = rng.uniform(0.05, 0.15, size=3) * rng.choice((-1.0, 1.0), size=3)
+        part = np.sum(heights[:, None] * (x[None, :] >= where[:, None]), axis=0)
+    return GridFunction(part + 5.0 * x)
+
+
+# sigma = c*x with h = c: lambda_k^2 = pi^2 (k - shift)^2 + c on every grid.
+ORACLE_SHIFT = [(DD, 0.0), (ND, 0.5), (DN, 0.5), (NT, 1.0)]
+
+
+def oracle_params(kind, c):
+    return CharParams(kind, h=c if kind.third_type_at_one else 0.0)
+
+
+class TestRefinement:
+    """Illinois regula falsi against the bisection it replaced, and the
+    Sturm count that certifies the brackets."""
+
+    @staticmethod
+    def assert_matches_reference(sigma, count, params):
+        lam = eigenvalues(sigma, count, params)
+        ref = reference_eigenvalues(sigma, count, params)
+        assert lam.shape == ref.shape == (count,)
+        assert np.max(np.abs(lam - ref) / ref) <= 1e-13
+
+    @pytest.mark.parametrize("kind", [DD, NT, ND, DN])
+    def test_oracles(self, kind):
+        c = 1.0 if kind is NT else 2.0
+        self.assert_matches_reference(linear_sigma(c, 1024), 128, oracle_params(kind, c))
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("shape", ["coulomb", "jumps"])
+    @pytest.mark.parametrize("kind", [DD, ND])
+    def test_seeded_singular(self, seed, shape, kind):
+        self.assert_matches_reference(singular_sigma(seed, shape), 64, CharParams(kind))
+
+    @pytest.mark.parametrize("c, count", [(60.0, 1), (60.0, 3), (-9.0, 3), (-9.0, 4)])
+    def test_shifted_defect_inputs(self, c, count):
+        self.assert_matches_reference(linear_sigma(c, 1024), count, CharParams(DD))
+
+    @pytest.mark.parametrize("sigma", [linear_sigma(2.0, 1024), singular_sigma(4, "coulomb")],
+                             ids=["oracle", "coulomb"])
+    def test_evaluations_after_the_scan(self, monkeypatch, sigma):
+        # bisection and polish took about 33 evaluations per eigenvalue
+        sizes = []
+
+        def counted(sigma, lams, params):
+            sizes.append(np.size(lams))
+            return _characteristic_batch(sigma, lams, params)
+
+        monkeypatch.setattr(direct, "_characteristic_batch", counted)
+        eigenvalues(sigma, 128, CharParams(DD))
+        assert sum(sizes[1:]) <= 10 * 128
+
+    def test_pass_cap_is_loud(self, monkeypatch):
+        monkeypatch.setattr(direct, "REFINE_RTOL", 0.0)  # only an exact zero closes one
+        with pytest.raises(NumericalError) as exc:
+            eigenvalues(zero_sigma(), 2, CharParams(DD))
+        assert exc.value.stage == "bracket"
+
+    @pytest.mark.parametrize("M", [16, 17, 64])
+    @pytest.mark.parametrize("kind, shift", ORACLE_SHIFT)
+    def test_sturm_count_is_exact_per_cell(self, M, kind, shift):
+        # on M = 16 a cell holds up to five zeros of the shot at lambda = 250
+        lams = np.sqrt(PI**2 * (np.arange(1, 81) - shift) ** 2 + 2.0)
+        probes = np.concatenate([[0.5 * lams[0]], 0.5 * (lams[:-1] + lams[1:])])
+        sig, params = linear_sigma(2.0, M), oracle_params(kind, 2.0)
+        got = [direct._count_below(sig, lam, params) for lam in probes]
+        assert got == list(range(80))
